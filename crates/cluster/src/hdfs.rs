@@ -121,6 +121,14 @@ impl BlockPlacer {
     }
 
     /// Places a single block.
+    pub fn place_one(&mut self, fleet: &Fleet, rng: &mut SimRng) -> Block {
+        let mut replicas = Vec::with_capacity(self.replication.min(fleet.len()));
+        let id = self.place_into(fleet, rng, &mut replicas);
+        Block { id, replicas }
+    }
+
+    /// Places a single block, appending its replicas to `out` (whatever
+    /// `out` already holds is left alone), and returns the block's id.
     ///
     /// Candidate pools are never materialized: racks occupy contiguous id
     /// spans ([`Fleet::rack_span`]), so each pool's size and its k-th
@@ -130,14 +138,19 @@ impl BlockPlacer {
     /// of the filter-and-collect formulation, so placements are
     /// byte-identical to it; at fleet scale this path runs once per block
     /// and the O(machines) vectors it replaced dominated job submission.
-    pub fn place_one(&mut self, fleet: &Fleet, rng: &mut SimRng) -> Block {
+    pub fn place_into(
+        &mut self,
+        fleet: &Fleet,
+        rng: &mut SimRng,
+        out: &mut Vec<MachineId>,
+    ) -> BlockId {
         let n = fleet.len();
         let replication = self.replication.min(n);
-        let mut replicas: Vec<MachineId> = Vec::with_capacity(replication);
+        let base = out.len();
 
         // First replica: uniformly random node.
         let first = MachineId(rng.uniform_u64(0, n as u64 - 1) as usize);
-        replicas.push(first);
+        out.push(first);
 
         // Second replica: prefer a different rack. The off-rack pool is
         // the ascending id sequence with `first`'s rack span cut out, so
@@ -162,12 +175,13 @@ impl BlockPlacer {
                     k + 1
                 }
             };
-            replicas.push(MachineId(pick));
+            out.push(MachineId(pick));
         }
 
         // Remaining replicas: same rack as the second when possible,
         // otherwise any unused node.
-        while replicas.len() < replication {
+        while out.len() - base < replication {
+            let replicas = &out[base..];
             let anchor = replicas[1.min(replicas.len() - 1)];
             let span = fleet.rack_span(anchor);
             let in_rack = || {
@@ -198,21 +212,22 @@ impl BlockPlacer {
                 }
                 MachineId(k)
             };
-            replicas.push(pick);
+            out.push(pick);
         }
 
         let id = BlockId(self.next_id);
         self.next_id += 1;
-        Block { id, replicas }
+        id
     }
 }
 
-/// The locality level of running a task for `block` on `machine`.
-pub fn locality(fleet: &Fleet, block: &Block, machine: MachineId) -> Locality {
-    if block.replicas.contains(&machine) {
+/// The locality level of running a task on `machine` for a block whose
+/// replicas live on `replicas`.
+pub fn locality(fleet: &Fleet, replicas: &[MachineId], machine: MachineId) -> Locality {
+    if replicas.contains(&machine) {
         return Locality::NodeLocal;
     }
-    if block.replicas.iter().any(|&r| fleet.same_rack(r, machine)) {
+    if replicas.iter().any(|&r| fleet.same_rack(r, machine)) {
         return Locality::RackLocal;
     }
     Locality::Remote
@@ -373,18 +388,23 @@ mod tests {
     #[test]
     fn locality_levels() {
         let fleet = two_rack_fleet(); // racks: {0..3}, {4..7}
-        let block = Block {
-            id: BlockId(0),
-            replicas: vec![MachineId(0), MachineId(4)],
-        };
-        assert_eq!(locality(&fleet, &block, MachineId(0)), Locality::NodeLocal);
-        assert_eq!(locality(&fleet, &block, MachineId(1)), Locality::RackLocal);
-        assert_eq!(locality(&fleet, &block, MachineId(5)), Locality::RackLocal);
-        let far_block = Block {
-            id: BlockId(1),
-            replicas: vec![MachineId(0)],
-        };
-        assert_eq!(locality(&fleet, &far_block, MachineId(5)), Locality::Remote);
+        let replicas = [MachineId(0), MachineId(4)];
+        assert_eq!(
+            locality(&fleet, &replicas, MachineId(0)),
+            Locality::NodeLocal
+        );
+        assert_eq!(
+            locality(&fleet, &replicas, MachineId(1)),
+            Locality::RackLocal
+        );
+        assert_eq!(
+            locality(&fleet, &replicas, MachineId(5)),
+            Locality::RackLocal
+        );
+        assert_eq!(
+            locality(&fleet, &[MachineId(0)], MachineId(5)),
+            Locality::Remote
+        );
     }
 
     #[test]

@@ -34,7 +34,10 @@ pub struct EAntScheduler {
     machine_profiles: Vec<String>,
     decisions: u64,
     intervals: u64,
-    policy_history: Vec<(simcore::SimTime, BTreeMap<JobId, Vec<f64>>)>,
+    /// The previous control interval's policy rows, kept only while an
+    /// observer is attached: [`SimEvent::PheromoneUpdated`] reports each
+    /// job's overlap against them.
+    prev_policy: BTreeMap<JobId, Vec<f64>>,
     /// Policy-level event stream: [`SimEvent::PheromoneUpdated`] per job
     /// per control interval and [`SimEvent::EnergyModelRefit`] when a
     /// profile's Eq. 2 model is identified. Empty unless a trace observer
@@ -60,7 +63,7 @@ impl EAntScheduler {
             machine_profiles: Vec::new(),
             decisions: 0,
             intervals: 0,
-            policy_history: Vec::new(),
+            prev_policy: BTreeMap::new(),
             trace: ObserverSet::new(),
         }
     }
@@ -79,33 +82,6 @@ impl EAntScheduler {
     /// Number of assignment decisions made so far.
     pub fn decisions(&self) -> u64 {
         self.decisions
-    }
-
-    /// Per-control-interval snapshots of each active job's assignment
-    /// policy (its Eq. 3 probability vector over machines), in time order.
-    ///
-    /// The Fig. 11 convergence analysis detects a *stable* policy on these
-    /// snapshots: consecutive vectors whose distributional overlap
-    /// (`Σ_m min(p_m, q_m)`) reaches the paper's 80 % criterion.
-    pub fn policy_history(&self) -> &[(simcore::SimTime, BTreeMap<JobId, Vec<f64>>)] {
-        &self.policy_history
-    }
-
-    /// Minutes (from time zero) until `job`'s policy first became stable at
-    /// the given overlap threshold, or `None` if it never did.
-    pub fn policy_convergence_minutes(&self, job: JobId, threshold: f64) -> Option<f64> {
-        for pair in self.policy_history.windows(2) {
-            let (_, ref prev) = pair[0];
-            let (at, ref cur) = pair[1];
-            let (Some(p), Some(q)) = (prev.get(&job), cur.get(&job)) else {
-                continue;
-            };
-            let overlap: f64 = p.iter().zip(q).map(|(a, b)| a.min(*b)).sum();
-            if overlap >= threshold {
-                return Some(at.as_mins_f64());
-            }
-        }
-        None
     }
 
     /// Lazily learns the cluster layout from the first callback — the
@@ -146,34 +122,34 @@ impl EAntScheduler {
 }
 
 impl EAntScheduler {
-    /// Records the current per-job policy vectors for convergence analysis
-    /// and emits one [`SimEvent::PheromoneUpdated`] per active job with its
-    /// policy overlap against the previous interval — the live view of the
-    /// §VI-C stability criterion.
+    /// Emits one [`SimEvent::PheromoneUpdated`] per active job with its
+    /// policy overlap (`Σ_m min(p_m, q_m)`) against the previous interval —
+    /// the live view of the §VI-C stability criterion. Without an observer
+    /// nothing is computed or kept.
     fn snapshot_policy(&mut self, query: &dyn ClusterQuery) {
+        if self.trace.is_empty() {
+            return;
+        }
         let pheromones = self.pheromones.as_ref().expect("initialized");
         let snapshot: BTreeMap<JobId, Vec<f64>> = query
             .state()
             .active()
             .map(|j| (j.id, pheromones.probabilities(j.id)))
             .collect();
-        if !self.trace.is_empty() {
-            let prev = self.policy_history.last().map(|(_, p)| p);
-            for (job, row) in &snapshot {
-                let overlap = prev.and_then(|p| p.get(job)).map(|prev_row| {
-                    prev_row
-                        .iter()
-                        .zip(row)
-                        .map(|(a, b)| a.min(*b))
-                        .sum::<f64>()
-                });
-                self.trace.notify(
-                    query.now(),
-                    &SimEvent::PheromoneUpdated { job: *job, overlap },
-                );
-            }
+        for (job, row) in &snapshot {
+            let overlap = self.prev_policy.get(job).map(|prev_row| {
+                prev_row
+                    .iter()
+                    .zip(row)
+                    .map(|(a, b)| a.min(*b))
+                    .sum::<f64>()
+            });
+            self.trace.notify(
+                query.now(),
+                &SimEvent::PheromoneUpdated { job: *job, overlap },
+            );
         }
-        self.policy_history.push((query.now(), snapshot));
+        self.prev_policy = snapshot;
     }
 
     /// The Eq. 8 decision core shared by the plain and traced selection

@@ -10,9 +10,12 @@
 //! strategies average feedback across homogeneous machines and jobs, so
 //! more homogeneity should shorten convergence.
 
+use std::collections::BTreeMap;
+
 use cluster::{profiles, Fleet, MachineProfile, PowerModel};
 use eant::{EAntConfig, EAntScheduler};
-use hadoop_sim::{Engine, EngineConfig, NoiseConfig};
+use hadoop_sim::trace::{Observer, SharedObserver};
+use hadoop_sim::{Engine, EngineConfig, NoiseConfig, Scheduler, SimEvent};
 use metrics::report::Table;
 use simcore::{SimDuration, SimTime};
 use workload::{Benchmark, JobId, JobSpec};
@@ -38,6 +41,25 @@ fn engine_config() -> EngineConfig {
 /// the amplified-noise environment needs the extra dynamic range.
 const THRESHOLD: f64 = 0.9;
 
+/// The first time each job's policy overlap with the previous interval
+/// (E-Ant's [`SimEvent::PheromoneUpdated`]) reached [`THRESHOLD`].
+#[derive(Default)]
+struct Convergence(BTreeMap<JobId, SimTime>);
+
+impl Observer<SimEvent> for Convergence {
+    fn on_event(&mut self, at: SimTime, event: &SimEvent) {
+        if let SimEvent::PheromoneUpdated {
+            job,
+            overlap: Some(overlap),
+        } = *event
+        {
+            if overlap >= THRESHOLD {
+                self.0.entry(job).or_insert(at);
+            }
+        }
+    }
+}
+
 /// Mean policy-convergence time (minutes) over all jobs and seeds;
 /// unconverged jobs count as the run's full duration (they never sped up).
 fn convergence_for_fleet(fleet: Fleet, jobs: Vec<JobSpec>, seeds: &[u64]) -> f64 {
@@ -47,11 +69,13 @@ fn convergence_for_fleet(fleet: Fleet, jobs: Vec<JobSpec>, seeds: &[u64]) -> f64
         let mut engine = Engine::new(fleet.clone(), engine_config(), seed);
         engine.submit_jobs(jobs.clone());
         let mut eant = EAntScheduler::new(EAntConfig::paper_default(), seed);
+        let converged = SharedObserver::new(Convergence::default());
+        eant.attach_observer(Box::new(converged.clone()));
         let result = engine.run(&mut eant);
         let horizon = result.makespan.as_mins_f64();
         for job in &result.jobs {
-            let minutes = eant
-                .policy_convergence_minutes(job.id, THRESHOLD)
+            let minutes = converged
+                .with(|c| c.0.get(&job.id).map(|at| at.as_mins_f64()))
                 .unwrap_or(horizon);
             sum += minutes;
             n += 1;

@@ -20,7 +20,7 @@ use std::fmt::Write as _;
 use std::path::Path;
 
 use hadoop_sim::RunResult;
-use metrics::emit::{object, JsonValue, ToJson};
+use metrics::emit::{object, run_result_json, JsonValue};
 use metrics::spec::{snippet, ObjectView, SpecError};
 
 use super::spec::{ScenarioSpec, ServeTolerance, Tolerance};
@@ -58,8 +58,9 @@ pub struct RunRecord {
     pub p99_sojourn_s: f64,
     /// Steady-state energy per completed job, joules (open-stream only).
     pub energy_per_job_j: f64,
-    /// The full serialized [`RunResult`].
-    pub result: JsonValue,
+    /// The full [`RunResult`] as canonical JSON
+    /// ([`metrics::emit::run_result_json`]).
+    pub result: String,
 }
 
 impl RunRecord {
@@ -93,7 +94,7 @@ impl RunRecord {
             serve_tolerance: spec.serve.map(|s| s.tolerance).unwrap_or_default(),
             p99_sojourn_s,
             energy_per_job_j,
-            result: result.to_json(),
+            result: run_result_json(result),
         }
     }
 
@@ -143,7 +144,7 @@ impl RunRecord {
             fields.push(("p99_sojourn_s", JsonValue::Num(self.p99_sojourn_s)));
             fields.push(("energy_per_job_j", JsonValue::Num(self.energy_per_job_j)));
         }
-        fields.push(("result", self.result.clone()));
+        fields.push(("result", JsonValue::Raw(self.result.clone())));
         object(fields)
     }
 
@@ -221,7 +222,7 @@ impl RunRecord {
             serve_tolerance,
             p99_sojourn_s: view.opt_f64("p99_sojourn_s")?.unwrap_or(0.0),
             energy_per_job_j: view.opt_f64("energy_per_job_j")?.unwrap_or(0.0),
-            result: view.required("result")?.clone(),
+            result: view.required("result")?.render(),
         })
     }
 }
@@ -614,7 +615,7 @@ mod tests {
             serve_tolerance: ServeTolerance::default(),
             p99_sojourn_s: 0.0,
             energy_per_job_j: 0.0,
-            result: JsonValue::Null,
+            result: "null".to_owned(),
         }
     }
 

@@ -24,7 +24,9 @@ use hadoop_sim::{
     Scheduler, SloConfig, SpeculationPolicy, StopCondition,
 };
 use metrics::emit::{object, JsonValue};
-use metrics::spec::{ensure, fnv1a_64, syntax_context, with_context, ObjectView, SpecError};
+use metrics::spec::{
+    ensure, fnv1a_64, kind_name, syntax_context, with_context, ObjectView, SpecError,
+};
 use simcore::{SimDuration, SimRng, SimTime};
 use workload::arrival::{DiurnalPeak, DiurnalProfile, OpenArrival};
 use workload::mix::{self, BenchmarkChoice, StreamArrival, StreamSpec};
@@ -223,7 +225,7 @@ impl ScenarioSpec {
                 other => {
                     return Err(SpecError::new(
                         format!("{seeds_path}[{i}]"),
-                        format!("expected an unsigned integer, found {}", json_kind(other)),
+                        format!("expected an unsigned integer, found {}", kind_name(other)),
                     ))
                 }
             }
@@ -489,17 +491,6 @@ impl ScenarioSpec {
             "{:016x}",
             fnv1a_64(self.manifest(kind, seed, fast).render().as_bytes())
         )
-    }
-}
-
-fn json_kind(value: &JsonValue) -> &'static str {
-    match value {
-        JsonValue::Null => "null",
-        JsonValue::Bool(_) => "a boolean",
-        JsonValue::UInt(_) | JsonValue::Num(_) => "a number",
-        JsonValue::Str(_) => "a string",
-        JsonValue::Array(_) => "an array",
-        JsonValue::Object(_) => "an object",
     }
 }
 
@@ -1329,7 +1320,7 @@ fn arrival_from_json(view: &ObjectView<'_>) -> Result<StreamArrival, SpecError> 
                 let t = item.as_f64().ok_or_else(|| {
                     SpecError::new(
                         format!("{at_path}[{i}]"),
-                        format!("expected a number, found {}", json_kind(item)),
+                        format!("expected a number, found {}", kind_name(item)),
                     )
                 })?;
                 ensure(
@@ -1510,7 +1501,7 @@ fn fleet_from_json(view: &ObjectView<'_>) -> Result<FleetSpec, SpecError> {
                     gv.child_path("slots"),
                     format!(
                         "expected a [map_slots, reduce_slots] pair or null, found {}",
-                        json_kind(other)
+                        kind_name(other)
                     ),
                 ))
             }

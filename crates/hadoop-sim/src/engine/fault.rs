@@ -197,8 +197,8 @@ impl Engine {
                 // per task (the conservation property).
                 self.total_tasks -= 1;
                 self.map_counts[idx] -= 1;
-                let bench = self.jobs[ji].spec.benchmark().kind().to_string();
-                if let Some(c) = self.bench_counts[idx].get_mut(&bench) {
+                let bench = super::bench_ix(self.jobs[ji].spec.benchmark().kind());
+                if let Some(c) = &mut self.bench_counts[idx][bench] {
                     *c -= 1;
                 }
                 self.map_outputs_lost += 1;

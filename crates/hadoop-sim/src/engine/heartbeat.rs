@@ -351,10 +351,8 @@ impl Engine {
             SlotKind::Map => self.map_counts[rt.machine.index()] += 1,
             SlotKind::Reduce => self.reduce_counts[rt.machine.index()] += 1,
         }
-        let bench = self.jobs[ji].spec.benchmark().kind().to_string();
-        *self.bench_counts[rt.machine.index()]
-            .entry(bench)
-            .or_insert(0) += 1;
+        let bench = super::bench_ix(self.jobs[ji].spec.benchmark().kind());
+        *self.bench_counts[rt.machine.index()][bench].get_or_insert(0) += 1;
         self.total_tasks += 1;
 
         let report = self.build_report(&rt);

@@ -31,10 +31,10 @@ use cluster::hdfs::{BlockPlacer, Locality, DEFAULT_REPLICATION};
 use cluster::network::{Network, GIGABIT_MBPS};
 use cluster::{Fleet, MachineId, SlotKind};
 use workload::open::OpenStream;
-use workload::{JobId, JobSpec, TaskId};
+use workload::{BenchmarkKind, JobId, JobSpec, TaskId};
 
 use crate::cluster_state::{ClusterState, JobEntry};
-use crate::job_state::JobState;
+use crate::job_state::{BlockReplicas, JobState};
 use crate::report::TaskReport;
 use crate::result::{IntervalSnapshot, RunResult};
 use crate::scheduler::{ClusterQuery, Scheduler};
@@ -48,6 +48,12 @@ pub(super) fn kind_ix(kind: SlotKind) -> usize {
         SlotKind::Map => 0,
         SlotKind::Reduce => 1,
     }
+}
+
+/// Index of `kind` into per-machine benchmark counters: its position in
+/// [`BenchmarkKind::ALL`], which lists the variants in declaration order.
+pub(super) fn bench_ix(kind: BenchmarkKind) -> usize {
+    kind as usize
 }
 
 /// A task attempt in flight; carried inside its completion event so no
@@ -122,7 +128,10 @@ pub struct Engine {
     // Per-machine counters.
     map_counts: Vec<u64>,
     reduce_counts: Vec<u64>,
-    bench_counts: Vec<BTreeMap<String, u64>>,
+    /// Winning completions per machine by benchmark kind, indexed by
+    /// [`bench_ix`]. `None` until the first one, so a count that map-output
+    /// loss rolls back to zero is still reported.
+    bench_counts: Vec<[Option<u64>; BenchmarkKind::ALL.len()]>,
     // Per-interval assignment bookkeeping.
     interval_assignments: BTreeMap<JobId, Vec<u64>>,
     // Power-down bookkeeping: wake-up completion time per standby machine
@@ -246,7 +255,7 @@ impl Engine {
             placer: BlockPlacer::new(DEFAULT_REPLICATION),
             map_counts: vec![0; n],
             reduce_counts: vec![0; n],
-            bench_counts: vec![BTreeMap::new(); n],
+            bench_counts: vec![[None; BenchmarkKind::ALL.len()]; n],
             interval_assignments: BTreeMap::new(),
             waking_until: vec![None; n],
             last_work_at: SimTime::ZERO,
@@ -316,9 +325,12 @@ impl Engine {
                 self.jobs.len(),
                 "job ids must be dense and in submission order"
             );
-            let blocks =
-                self.placer
-                    .place(&self.fleet, spec.num_maps() as usize, &mut self.rng_place);
+            let blocks = BlockReplicas::place(
+                &self.fleet,
+                spec.num_maps(),
+                &mut self.placer,
+                &mut self.rng_place,
+            );
             self.state.register(&spec);
             self.arena.register_job(spec.num_maps(), spec.num_reduces());
             self.duration_stats.push([(0.0, 0); 2]);
@@ -350,6 +362,7 @@ impl Engine {
         self.state.register(&spec);
         self.arena.register_job(spec.num_maps(), spec.num_reduces());
         self.duration_stats.push([(0.0, 0); 2]);
+        let blocks = BlockReplicas::from_blocks(&blocks);
         self.jobs.push(JobState::new(&self.fleet, spec, blocks));
         self.submitted.push(false);
     }
@@ -388,9 +401,12 @@ impl Engine {
             "stream job ids must continue the dense sequence"
         );
         let id = spec.id();
-        let blocks = self
-            .placer
-            .place(&self.fleet, spec.num_maps() as usize, &mut self.rng_place);
+        let blocks = BlockReplicas::place(
+            &self.fleet,
+            spec.num_maps(),
+            &mut self.placer,
+            &mut self.rng_place,
+        );
         self.state.register(&spec);
         self.arena.register_job(spec.num_maps(), spec.num_reduces());
         self.duration_stats.push([(0.0, 0); 2]);

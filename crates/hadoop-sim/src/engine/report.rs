@@ -5,6 +5,7 @@ use simcore::series::TimeSeries;
 use simcore::SimTime;
 
 use cluster::SlotKind;
+use workload::BenchmarkKind;
 
 use crate::report::{TaskReport, UtilizationSample};
 use crate::result::{IntervalSnapshot, JobOutcome, MachineOutcome, RunResult, ServiceStats};
@@ -159,7 +160,11 @@ impl Engine {
                     mean_utilization: m.mean_utilization(self.now),
                     map_tasks: self.map_counts[id.index()],
                     reduce_tasks: self.reduce_counts[id.index()],
-                    tasks_by_benchmark: self.bench_counts[id.index()].clone(),
+                    tasks_by_benchmark: BenchmarkKind::ALL
+                        .iter()
+                        .zip(self.bench_counts[id.index()])
+                        .filter_map(|(kind, n)| Some((kind.as_str().to_owned(), n?)))
+                        .collect(),
                 }
             })
             .collect();

@@ -73,8 +73,8 @@ impl Engine {
         let ji = task.job.index();
         let (locality, demand) = match kind {
             SlotKind::Map => {
-                let block = self.jobs[ji].blocks[task.task.index as usize].clone();
-                let loc = cluster::hdfs::locality(&self.fleet, &block, machine);
+                let replicas = self.jobs[ji].blocks.get(task.task.index);
+                let loc = cluster::hdfs::locality(&self.fleet, replicas, machine);
                 (
                     Some(loc),
                     self.jobs[ji].spec.map_demand(&mut self.rng_demand),

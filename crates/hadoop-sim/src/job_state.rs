@@ -1,12 +1,14 @@
 //! Internal per-job bookkeeping for the JobTracker.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
-use simcore::SimTime;
+use simcore::{SimRng, SimTime};
 
-use cluster::hdfs::{locality, Block, Locality};
+use cluster::hdfs::{locality, Block, BlockPlacer, Locality};
 use cluster::{Fleet, MachineId, SlotKind};
 use workload::JobSpec;
+
+use crate::engine::kind_ix;
 
 /// Lifecycle phase of a job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -19,12 +21,99 @@ pub enum JobPhase {
     Completed,
 }
 
+/// The input-block replicas of every map task of one job, packed into one
+/// allocation rather than one per block.
+#[derive(Debug, Clone)]
+pub(crate) struct BlockReplicas {
+    machines: Vec<MachineId>,
+    /// Map `i`'s replicas are `machines[offsets[i]..offsets[i + 1]]`.
+    offsets: Vec<u32>,
+}
+
+impl BlockReplicas {
+    fn with_capacity(maps: usize, replicas: usize) -> Self {
+        let mut offsets = Vec::with_capacity(maps + 1);
+        offsets.push(0);
+        BlockReplicas {
+            machines: Vec::with_capacity(replicas),
+            offsets,
+        }
+    }
+
+    /// Closes the block whose replicas were appended since the last one.
+    fn end_block(&mut self) {
+        let end = u32::try_from(self.machines.len()).expect("a job's replicas fit u32 offsets");
+        self.offsets.push(end);
+    }
+
+    /// Places `maps` blocks with `placer`, one per map task.
+    pub fn place(fleet: &Fleet, maps: u32, placer: &mut BlockPlacer, rng: &mut SimRng) -> Self {
+        let maps = maps as usize;
+        let mut packed = Self::with_capacity(maps, maps * placer.replication().min(fleet.len()));
+        for _ in 0..maps {
+            placer.place_into(fleet, rng, &mut packed.machines);
+            packed.end_block();
+        }
+        packed
+    }
+
+    /// Packs explicitly placed blocks, one per map task.
+    pub fn from_blocks(blocks: &[Block]) -> Self {
+        let replicas = blocks.iter().map(|b| b.replicas.len()).sum();
+        let mut packed = Self::with_capacity(blocks.len(), replicas);
+        for block in blocks {
+            packed.machines.extend_from_slice(&block.replicas);
+            packed.end_block();
+        }
+        packed
+    }
+
+    /// Number of blocks.
+    pub fn len(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    /// The machines holding map `index`'s input block.
+    pub fn get(&self, index: u32) -> &[MachineId] {
+        let i = index as usize;
+        &self.machines[self.offsets[i] as usize..self.offsets[i + 1] as usize]
+    }
+}
+
+/// One bit per task index of one slot kind.
+#[derive(Debug, Clone)]
+struct TaskBits(Vec<u64>);
+
+impl TaskBits {
+    fn new(tasks: u32) -> Self {
+        TaskBits(vec![0; (tasks as usize).div_ceil(64)])
+    }
+
+    fn contains(&self, index: u32) -> bool {
+        self.0[index as usize / 64] & (1 << (index % 64)) != 0
+    }
+
+    /// Sets `index`'s bit; returns whether it was clear.
+    fn insert(&mut self, index: u32) -> bool {
+        let fresh = !self.contains(index);
+        self.0[index as usize / 64] |= 1 << (index % 64);
+        fresh
+    }
+
+    /// Clears `index`'s bit; returns whether it was set.
+    fn remove(&mut self, index: u32) -> bool {
+        let was = self.contains(index);
+        self.0[index as usize / 64] &= !(1 << (index % 64));
+        was
+    }
+}
+
 /// JobTracker-side state of one submitted job.
 #[derive(Debug, Clone)]
 pub(crate) struct JobState {
     pub spec: JobSpec,
-    /// Input block of each map task (index-aligned).
-    pub blocks: Vec<Block>,
+    /// Input block replicas of each map task (index-aligned).
+    pub blocks: BlockReplicas,
     pending_maps: Vec<u32>,
     pending_reduces: VecDeque<u32>,
     /// Pending map blocks with a replica on each machine (machine index →
@@ -36,7 +125,8 @@ pub(crate) struct JobState {
     /// Pending map blocks with a replica in each rack (rack index → block
     /// count, racks deduplicated per block).
     rack_replicas: BTreeMap<usize, u32>,
-    finished: BTreeSet<crate::TaskIndexKey>,
+    /// Tasks some attempt has completed: maps, then reduces.
+    finished: [TaskBits; 2],
     pub running_tasks: u32,
     pub completed_maps: u32,
     pub completed_reduces: u32,
@@ -45,10 +135,14 @@ pub(crate) struct JobState {
 }
 
 impl JobState {
-    pub fn new(fleet: &Fleet, spec: JobSpec, blocks: Vec<Block>) -> Self {
+    pub fn new(fleet: &Fleet, spec: JobSpec, blocks: BlockReplicas) -> Self {
         debug_assert_eq!(blocks.len(), spec.num_maps() as usize);
         let pending_maps: Vec<u32> = (0..spec.num_maps()).collect();
         let pending_reduces = (0..spec.num_reduces()).collect();
+        let finished = [
+            TaskBits::new(spec.num_maps()),
+            TaskBits::new(spec.num_reduces()),
+        ];
         let mut state = JobState {
             spec,
             blocks,
@@ -56,7 +150,7 @@ impl JobState {
             pending_reduces,
             node_replicas: BTreeMap::new(),
             rack_replicas: BTreeMap::new(),
-            finished: BTreeSet::new(),
+            finished,
             running_tasks: 0,
             completed_maps: 0,
             completed_reduces: 0,
@@ -73,7 +167,7 @@ impl JobState {
     /// it enters or leaves the pending queue. Machines and racks are
     /// deduplicated per block so a block counts each location once.
     fn track_block(&mut self, fleet: &Fleet, idx: u32, add: bool) {
-        let block = &self.blocks[idx as usize];
+        let replicas = self.blocks.get(idx);
         let bump = |map: &mut BTreeMap<usize, u32>, key: usize| {
             if add {
                 *map.entry(key).or_insert(0) += 1;
@@ -85,8 +179,8 @@ impl JobState {
                 }
             }
         };
-        for (i, &replica) in block.replicas.iter().enumerate() {
-            let prior = &block.replicas[..i];
+        for (i, &replica) in replicas.iter().enumerate() {
+            let prior = &replicas[..i];
             if !prior.contains(&replica) {
                 bump(&mut self.node_replicas, replica.index());
             }
@@ -183,7 +277,7 @@ impl JobState {
             class => self
                 .pending_maps
                 .iter()
-                .position(|&idx| locality(fleet, &self.blocks[idx as usize], machine) == class)
+                .position(|&idx| locality(fleet, self.blocks.get(idx), machine) == class)
                 .expect("replica counts name a pending block"),
         };
         let idx = self.pending_maps.swap_remove(best_pos);
@@ -223,7 +317,7 @@ impl JobState {
     pub fn note_task_completed(&mut self, now: SimTime, kind: SlotKind, index: u32) -> bool {
         debug_assert!(self.running_tasks > 0);
         self.running_tasks -= 1;
-        if !self.finished.insert((kind, index)) {
+        if !self.finished[kind_ix(kind)].insert(index) {
             return false;
         }
         match kind {
@@ -238,7 +332,7 @@ impl JobState {
 
     /// Whether `(kind, index)` has already been completed by some attempt.
     pub fn is_task_finished(&self, kind: SlotKind, index: u32) -> bool {
-        self.finished.contains(&(kind, index))
+        self.finished[kind_ix(kind)].contains(index)
     }
 
     /// Releases the running-slot count of an attempt that failed without
@@ -256,7 +350,7 @@ impl JobState {
     /// is false the task is only un-finished — a still-running duplicate
     /// attempt will re-complete it.
     pub fn lose_map_output(&mut self, fleet: &Fleet, index: u32, requeue: bool) {
-        let removed = self.finished.remove(&(SlotKind::Map, index));
+        let removed = self.finished[kind_ix(SlotKind::Map)].remove(index);
         debug_assert!(removed, "map output loss of an unfinished task");
         debug_assert!(self.completed_maps > 0);
         self.completed_maps -= 1;
@@ -291,13 +385,13 @@ mod tests {
             SimTime::ZERO,
         );
         // Map i's block lives on machine i % 8.
-        let blocks = (0..num_maps)
+        let blocks: Vec<Block> = (0..num_maps)
             .map(|i| Block {
                 id: BlockId(i as u64),
                 replicas: vec![MachineId(i as usize % 8)],
             })
             .collect();
-        JobState::new(&fleet(), spec, blocks)
+        JobState::new(&fleet(), spec, BlockReplicas::from_blocks(&blocks))
     }
 
     #[test]
@@ -384,11 +478,11 @@ mod tests {
                 ],
             })
             .collect();
-        let mut j = JobState::new(&f, spec, blocks);
+        let mut j = JobState::new(&f, spec, BlockReplicas::from_blocks(&blocks));
         let scan = |j: &JobState, machine: MachineId| {
             j.pending_maps
                 .iter()
-                .map(|&idx| locality(&f, &j.blocks[idx as usize], machine))
+                .map(|&idx| locality(&f, j.blocks.get(idx), machine))
                 .min_by_key(|l| match l {
                     Locality::NodeLocal => 0,
                     Locality::RackLocal => 1,

@@ -77,6 +77,3 @@ pub use scheduler::{generic_candidates, ClusterQuery, GreedyScheduler, Scheduler
 pub use task_arena::{TaskArena, TaskSlot, MAX_ATTEMPTS};
 pub use trace::{DecisionCandidate, PowerState, SimEvent};
 pub use watchdog::{SloBreach, SloConfig, SloStats, SloWatchdog};
-
-/// Internal key identifying a task within a job: (kind, index).
-pub(crate) type TaskIndexKey = (cluster::SlotKind, u32);

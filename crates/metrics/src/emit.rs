@@ -4,8 +4,9 @@
 //! handling is hand-rolled here instead of derived through `serde`: a
 //! [`JsonValue`] tree, a renderer, a recursive-descent parser
 //! ([`JsonValue::parse`], used by the JSONL trace replay path in
-//! [`crate::trace`]), and [`ToJson`] implementations for the
-//! [`RunResult`] type family.
+//! [`crate::trace`]), [`ToJson`] implementations for the [`RunResult`]
+//! type family, and [`run_result_json`], which streams a whole result into
+//! one string without building a tree for it.
 //!
 //! The rendering is **canonical**: object keys are emitted in the fixed
 //! order the implementations choose, floats use Rust's shortest
@@ -49,6 +50,9 @@ pub enum JsonValue {
     Array(Vec<JsonValue>),
     /// An object as an ordered association list.
     Object(Vec<(String, JsonValue)>),
+    /// An already rendered JSON document, emitted verbatim. The parser
+    /// never produces it, and the accessors see no value in it.
+    Raw(String),
 }
 
 impl JsonValue {
@@ -152,30 +156,61 @@ impl JsonValue {
                 }
             }
             JsonValue::Str(s) => write_escaped(out, s),
-            JsonValue::Array(items) => {
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    item.write(out);
-                }
-                out.push(']');
-            }
+            JsonValue::Array(items) => write_array(out, items, |out, item| item.write(out)),
             JsonValue::Object(fields) => {
-                out.push('{');
-                for (i, (key, value)) in fields.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    write_escaped(out, key);
-                    out.push(':');
-                    value.write(out);
+                let mut obj = Fields::open(out);
+                for (key, value) in fields {
+                    value.write(obj.key(key));
                 }
-                out.push('}');
+                obj.close();
             }
+            JsonValue::Raw(doc) => out.push_str(doc),
         }
     }
+}
+
+/// Writes one JSON object's `"key":value` pairs straight into a string.
+struct Fields<'a> {
+    out: &'a mut String,
+    empty: bool,
+}
+
+impl<'a> Fields<'a> {
+    fn open(out: &'a mut String) -> Self {
+        out.push('{');
+        Fields { out, empty: true }
+    }
+
+    /// Writes `"key":` and returns the string the value goes into.
+    fn key(&mut self, key: &str) -> &mut String {
+        if !self.empty {
+            self.out.push(',');
+        }
+        self.empty = false;
+        write_escaped(self.out, key);
+        self.out.push(':');
+        self.out
+    }
+
+    fn close(self) {
+        self.out.push('}');
+    }
+}
+
+/// Writes `items` as a JSON array, each element by `write`.
+fn write_array<T>(
+    out: &mut String,
+    items: impl IntoIterator<Item = T>,
+    mut write: impl FnMut(&mut String, T),
+) {
+    out.push('[');
+    for (i, item) in items.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        write(out, item);
+    }
+    out.push(']');
 }
 
 struct Parser<'a> {
@@ -612,34 +647,6 @@ impl ToJson for MachineOutcome {
     }
 }
 
-impl ToJson for IntervalSnapshot {
-    fn to_json(&self) -> JsonValue {
-        object([
-            ("at", self.at.to_json()),
-            (
-                "cumulative_energy_joules",
-                JsonValue::Num(self.cumulative_energy_joules),
-            ),
-            (
-                "assignments",
-                JsonValue::Object(
-                    self.assignments
-                        .iter()
-                        .map(|(job, per_machine)| {
-                            (
-                                job.0.to_string(),
-                                JsonValue::Array(
-                                    per_machine.iter().map(|&n| JsonValue::UInt(n)).collect(),
-                                ),
-                            )
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
-    }
-}
-
 impl ToJson for ServiceStats {
     fn to_json(&self) -> JsonValue {
         object([
@@ -680,63 +687,6 @@ impl ToJson for ServiceStats {
     }
 }
 
-impl ToJson for RunResult {
-    fn to_json(&self) -> JsonValue {
-        let mut fields = Vec::from([
-            ("scheduler", JsonValue::Str(self.scheduler.clone())),
-            ("makespan", self.makespan.to_json()),
-            ("drained", JsonValue::Bool(self.drained)),
-            (
-                "groups",
-                JsonValue::Array(
-                    self.groups
-                        .iter()
-                        .map(|g| JsonValue::Str(g.clone()))
-                        .collect(),
-                ),
-            ),
-            (
-                "jobs",
-                JsonValue::Array(self.jobs.iter().map(ToJson::to_json).collect()),
-            ),
-            (
-                "machines",
-                JsonValue::Array(self.machines.iter().map(ToJson::to_json).collect()),
-            ),
-            (
-                "intervals",
-                JsonValue::Array(self.intervals.iter().map(ToJson::to_json).collect()),
-            ),
-            ("energy_series", self.energy_series.to_json()),
-            // Schema stability: the buffered report path is gone from
-            // `RunResult` (reports stream through observers instead), but
-            // every pinned golden digest serializes an empty `reports`
-            // array, so the key stays.
-            ("reports", JsonValue::Array(Vec::new())),
-            ("total_tasks", JsonValue::UInt(self.total_tasks)),
-            (
-                "speculative_attempts",
-                JsonValue::UInt(self.speculative_attempts),
-            ),
-            ("wasted_attempts", JsonValue::UInt(self.wasted_attempts)),
-            ("task_failures", JsonValue::UInt(self.task_failures)),
-            ("machine_failures", JsonValue::UInt(self.machine_failures)),
-            ("map_outputs_lost", JsonValue::UInt(self.map_outputs_lost)),
-            (
-                "machines_blacklisted",
-                JsonValue::UInt(self.machines_blacklisted),
-            ),
-        ]);
-        // Schema stability: the `service` key exists only on horizon-mode
-        // results, so every pre-service-mode golden byte sequence — all of
-        // which end at `machines_blacklisted` — is unchanged.
-        if let Some(service) = &self.service {
-            fields.push(("service", service.to_json()));
-        }
-        object(fields)
-    }
-}
-
 fn string_map<V>(map: &BTreeMap<String, V>, value: impl Fn(&V) -> JsonValue) -> JsonValue {
     JsonValue::Object(map.iter().map(|(k, v)| (k.clone(), value(v))).collect())
 }
@@ -744,9 +694,65 @@ fn string_map<V>(map: &BTreeMap<String, V>, value: impl Fn(&V) -> JsonValue) -> 
 /// Canonical JSON serialization of a full [`RunResult`].
 ///
 /// Byte-identical strings ⇔ identical results; this is the comparison key
-/// used by the determinism tests.
+/// used by the determinism tests. The document is written straight into
+/// the returned string: only small leaves (one job, one machine, the
+/// energy series, the service statistics) pass through a [`JsonValue`],
+/// so the per-interval assignment matrices — millions of cells at fleet
+/// scale — never exist as a tree.
 pub fn run_result_json(run: &RunResult) -> String {
-    run.to_json().render()
+    let mut out = String::new();
+    let mut obj = Fields::open(&mut out);
+    write_escaped(obj.key("scheduler"), &run.scheduler);
+    run.makespan.to_json().write(obj.key("makespan"));
+    JsonValue::Bool(run.drained).write(obj.key("drained"));
+    write_array(
+        obj.key("groups"),
+        run.groups.iter().map(String::as_str),
+        write_escaped,
+    );
+    write_array(obj.key("jobs"), &run.jobs, |out, j| j.to_json().write(out));
+    write_array(obj.key("machines"), &run.machines, |out, m| {
+        m.to_json().write(out);
+    });
+    write_array(obj.key("intervals"), &run.intervals, write_interval);
+    run.energy_series.to_json().write(obj.key("energy_series"));
+    // Schema stability: the buffered report path is gone from `RunResult`
+    // (reports stream through observers instead), but every pinned golden
+    // digest serializes an empty `reports` array, so the key stays.
+    obj.key("reports").push_str("[]");
+    for (key, n) in [
+        ("total_tasks", run.total_tasks),
+        ("speculative_attempts", run.speculative_attempts),
+        ("wasted_attempts", run.wasted_attempts),
+        ("task_failures", run.task_failures),
+        ("machine_failures", run.machine_failures),
+        ("map_outputs_lost", run.map_outputs_lost),
+        ("machines_blacklisted", run.machines_blacklisted),
+    ] {
+        JsonValue::UInt(n).write(obj.key(key));
+    }
+    // Schema stability: the `service` key exists only on horizon-mode
+    // results, so every pre-service-mode golden byte sequence — all of
+    // which end at `machines_blacklisted` — is unchanged.
+    if let Some(service) = &run.service {
+        service.to_json().write(obj.key("service"));
+    }
+    obj.close();
+    out
+}
+
+fn write_interval(out: &mut String, snap: &IntervalSnapshot) {
+    let mut obj = Fields::open(out);
+    snap.at.to_json().write(obj.key("at"));
+    JsonValue::Num(snap.cumulative_energy_joules).write(obj.key("cumulative_energy_joules"));
+    let mut rows = Fields::open(obj.key("assignments"));
+    for (job, per_machine) in &snap.assignments {
+        write_array(rows.key(&job.0.to_string()), per_machine, |out, &n| {
+            JsonValue::UInt(n).write(out);
+        });
+    }
+    rows.close();
+    obj.close();
 }
 
 #[cfg(test)]

@@ -294,7 +294,8 @@ impl<'a> ObjectView<'a> {
     }
 }
 
-fn kind_name(value: &JsonValue) -> &'static str {
+/// What `value` is, for error messages ("a string", "an object", ...).
+pub fn kind_name(value: &JsonValue) -> &'static str {
     match value {
         JsonValue::Null => "null",
         JsonValue::Bool(_) => "a boolean",
@@ -302,6 +303,7 @@ fn kind_name(value: &JsonValue) -> &'static str {
         JsonValue::Str(_) => "a string",
         JsonValue::Array(_) => "an array",
         JsonValue::Object(_) => "an object",
+        JsonValue::Raw(_) => "a pre-rendered document",
     }
 }
 

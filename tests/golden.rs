@@ -14,7 +14,8 @@ use std::collections::BTreeSet;
 use eant::EAntConfig;
 use experiments::common::{Scenario, SchedulerKind};
 use hadoop_sim::trace::SharedObserver;
-use hadoop_sim::{DvfsConfig, PowerDownConfig, RunResult, SpeculationPolicy};
+use hadoop_sim::{DvfsConfig, IntervalSnapshot, PowerDownConfig, RunResult, SpeculationPolicy};
+use metrics::emit::{object, run_result_json, JsonValue, ToJson};
 use metrics::spec::fnv1a_64;
 use metrics::trace::{parse_trace_line, JsonlTraceSink};
 use simcore::SimDuration;
@@ -372,10 +373,10 @@ fn paper_scale_eant_makespan_matches_golden() {
 /// [`REL_TOL`] slack for cross-toolchain float reassociation; the digest
 /// pins this toolchain's exact bytes like the trace goldens above.
 /// Re-derive with `--nocapture`: each row's observed tuple prints below.
+/// Each row's streamed JSON must also equal [`oracle_json`] byte for byte.
 #[test]
 fn scenario_library_matches_goldens() {
     use experiments::scenario::{library_dir, load_spec};
-    use metrics::emit::run_result_json;
 
     let table: &[(&str, f64, f64, u64)] = &[
         ("crash-heavy-churn", 5.623288, 6046.415, 0x949640a6cd82c1b3),
@@ -442,7 +443,12 @@ fn scenario_library_matches_goldens() {
             // Horizon-stopped (service-mode) scenarios end at the deadline
             // with work in flight; only drain-mode rows must drain.
             assert!(r.drained || spec.serve.is_some(), "{name} failed to drain");
-            let digest = fnv1a_64(run_result_json(&r).as_bytes());
+            let json = run_result_json(&r);
+            assert!(
+                json == oracle_json(&r).render(),
+                "{name}: streamed JSON differs from the tree oracle"
+            );
+            let digest = fnv1a_64(json.as_bytes());
             let energy = r.total_energy_joules() / 1.0e6;
             let makespan = r.makespan.as_secs_f64();
             println!("(\"{name}\", {energy:.6}, {makespan:.3}, {digest:#018x}),");
@@ -479,7 +485,6 @@ fn scenario_library_matches_goldens() {
 #[test]
 fn fig8_scenario_file_reproduces_hardcoded_grid() {
     use experiments::scenario::{library_dir, load_spec};
-    use metrics::emit::run_result_json;
 
     let spec = load_spec(&library_dir().join("fig8-msd.json")).unwrap_or_else(|e| panic!("{e}"));
     for seed in [2015u64, 1234] {
@@ -496,5 +501,199 @@ fn fig8_scenario_file_reproduces_hardcoded_grid() {
                 kind.label()
             );
         }
+    }
+}
+
+/// Reference serializer for [`run_result_json`]: it builds one
+/// [`JsonValue`] node per value and renders the tree. The streaming writer
+/// must match it byte for byte.
+fn oracle_json(run: &RunResult) -> JsonValue {
+    let uint = JsonValue::UInt;
+    let interval = |snap: &IntervalSnapshot| {
+        object([
+            ("at", snap.at.to_json()),
+            (
+                "cumulative_energy_joules",
+                JsonValue::Num(snap.cumulative_energy_joules),
+            ),
+            (
+                "assignments",
+                JsonValue::Object(
+                    snap.assignments
+                        .iter()
+                        .map(|(job, row)| {
+                            (
+                                job.0.to_string(),
+                                JsonValue::Array(row.iter().map(|&n| uint(n)).collect()),
+                            )
+                        })
+                        .collect(),
+                ),
+            ),
+        ])
+    };
+    let mut fields = Vec::from([
+        ("scheduler", JsonValue::Str(run.scheduler.clone())),
+        ("makespan", run.makespan.to_json()),
+        ("drained", JsonValue::Bool(run.drained)),
+        (
+            "groups",
+            JsonValue::Array(run.groups.iter().cloned().map(JsonValue::Str).collect()),
+        ),
+        (
+            "jobs",
+            JsonValue::Array(run.jobs.iter().map(ToJson::to_json).collect()),
+        ),
+        (
+            "machines",
+            JsonValue::Array(run.machines.iter().map(ToJson::to_json).collect()),
+        ),
+        (
+            "intervals",
+            JsonValue::Array(run.intervals.iter().map(interval).collect()),
+        ),
+        ("energy_series", run.energy_series.to_json()),
+        ("reports", JsonValue::Array(Vec::new())),
+        ("total_tasks", uint(run.total_tasks)),
+        ("speculative_attempts", uint(run.speculative_attempts)),
+        ("wasted_attempts", uint(run.wasted_attempts)),
+        ("task_failures", uint(run.task_failures)),
+        ("machine_failures", uint(run.machine_failures)),
+        ("map_outputs_lost", uint(run.map_outputs_lost)),
+        ("machines_blacklisted", uint(run.machines_blacklisted)),
+    ]);
+    if let Some(service) = &run.service {
+        fields.push(("service", service.to_json()));
+    }
+    object(fields)
+}
+
+/// Hand-built results cover what no library run produces: escaped strings,
+/// non-finite floats, empty intervals and both shapes of `service`.
+#[test]
+fn streamed_run_json_matches_tree_oracle() {
+    use std::collections::BTreeMap;
+
+    use cluster::MachineId;
+    use hadoop_sim::{JobOutcome, JobPhase, MachineOutcome, ServiceStats};
+    use simcore::series::TimeSeries;
+    use simcore::SimTime;
+    use workload::{JobId, SizeClass};
+
+    let awkward = "q\"b\\s\nn\r\tt\u{1}\u{1f}é\u{1f600}/";
+    let mut series = TimeSeries::new(awkward);
+    series.record(SimTime::ZERO, 0.0);
+    series.record(SimTime::from_millis(1500), f64::NAN);
+    series.record(SimTime::from_secs(3), 1.0 / 3.0);
+    let job = |id: u64, label: &str, finished: Option<SimTime>, work: f64| JobOutcome {
+        id: JobId(id),
+        label: label.to_owned(),
+        benchmark: awkward.to_owned(),
+        size_class: (id == 0).then_some(SizeClass::Large),
+        submitted_at: SimTime::from_millis(id * 7),
+        phase: if finished.is_some() {
+            JobPhase::Completed
+        } else {
+            JobPhase::Running
+        },
+        finished_at: finished,
+        total_tasks: 12,
+        reference_work_secs: work,
+    };
+    let machine = |id: usize, energy: f64| MachineOutcome {
+        machine: MachineId(id),
+        profile: awkward.to_owned(),
+        energy_joules: energy,
+        idle_joules: f64::NEG_INFINITY,
+        workload_joules: -0.0,
+        mean_utilization: 1e-300,
+        map_tasks: 3,
+        reduce_tasks: u64::MAX,
+        tasks_by_benchmark: BTreeMap::from([(awkward.to_owned(), 2), ("Grep".to_owned(), 0)]),
+    };
+    let base = RunResult {
+        scheduler: awkward.to_owned(),
+        makespan: SimDuration::from_millis(u64::MAX / 2),
+        drained: false,
+        groups: vec![awkward.to_owned(), String::new()],
+        jobs: vec![
+            job(0, awkward, Some(SimTime::from_secs(9)), f64::INFINITY),
+            job(1, "", None, 1e300),
+        ],
+        machines: vec![machine(0, f64::NAN), machine(1, 2.5)],
+        intervals: vec![
+            IntervalSnapshot {
+                at: SimTime::from_secs(60),
+                cumulative_energy_joules: f64::NAN,
+                assignments: BTreeMap::new(),
+            },
+            IntervalSnapshot {
+                at: SimTime::from_secs(120),
+                cumulative_energy_joules: 12.5,
+                assignments: BTreeMap::from([
+                    (JobId(3), vec![1, 0, 2]),
+                    (JobId(10), vec![]),
+                    (JobId(u64::MAX), vec![u64::MAX]),
+                ]),
+            },
+        ],
+        energy_series: series,
+        total_tasks: 1,
+        speculative_attempts: 2,
+        wasted_attempts: 3,
+        task_failures: 4,
+        machine_failures: 5,
+        map_outputs_lost: 6,
+        machines_blacklisted: 7,
+        service: None,
+    };
+    let service = ServiceStats {
+        warmup_s: 600.0,
+        measure_s: f64::INFINITY,
+        arrivals: 9,
+        completions: 0,
+        backlog: 4,
+        throughput_per_min: f64::NAN,
+        mean_sojourn: SimDuration::from_millis(1234),
+        latency_distribution: vec![(50, SimDuration::ZERO), (99, SimDuration::from_secs(7))],
+        energy_joules: 0.1,
+        energy_per_job: 0.0,
+        energy_rate_watts: -2.0,
+        tasks_completed: 11,
+        queue_mean: 0.5,
+        queue_max: 8,
+    };
+    let empty = RunResult {
+        scheduler: String::new(),
+        groups: vec![],
+        jobs: vec![],
+        machines: vec![],
+        intervals: vec![],
+        energy_series: TimeSeries::new("energy"),
+        ..base.clone()
+    };
+    let cases = [
+        ("escapes and non-finite floats", base.clone()),
+        (
+            "with service",
+            RunResult {
+                service: Some(service.clone()),
+                ..base
+            },
+        ),
+        ("empty", empty.clone()),
+        (
+            "empty with empty service",
+            RunResult {
+                service: Some(ServiceStats {
+                    latency_distribution: vec![],
+                    ..service
+                }),
+                ..empty
+            },
+        ),
+    ];
+    for (what, run) in &cases {
+        assert_eq!(run_result_json(run), oracle_json(run).render(), "{what}");
     }
 }
