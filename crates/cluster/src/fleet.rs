@@ -53,7 +53,8 @@ pub struct HomogeneousGroup {
 #[derive(Debug, Clone)]
 pub struct Fleet {
     machines: Vec<Machine>,
-    racks: Vec<RackId>,
+    /// Machines per rack: machine `i` lives in rack `i / rack_size`.
+    rack_size: usize,
     /// Slot capacities summed once at build time: profiles are fixed after
     /// construction, and schedulers read the pool size on every decision.
     map_slot_total: usize,
@@ -134,22 +135,26 @@ impl Fleet {
     ///
     /// Returns [`ClusterError::UnknownMachine`] for out-of-range ids.
     pub fn rack_of(&self, id: MachineId) -> Result<RackId, ClusterError> {
-        self.racks
-            .get(id.index())
-            .copied()
-            .ok_or(ClusterError::UnknownMachine(id.index()))
+        if id.index() < self.len() {
+            Ok(RackId(id.index() / self.rack_size))
+        } else {
+            Err(ClusterError::UnknownMachine(id.index()))
+        }
     }
 
-    /// The contiguous id range of the rack holding `id`. The builder
-    /// assigns racks in nondecreasing id order, so a rack is always one
-    /// dense span; out-of-range ids yield an empty range.
+    /// The contiguous id range of the rack holding `id`: racks are dense
+    /// blocks of `rack_size` ids, the last one cut short by the fleet's
+    /// end. Out-of-range ids yield an empty range.
     pub fn rack_span(&self, id: MachineId) -> std::ops::Range<usize> {
-        let Some(&r) = self.racks.get(id.index()) else {
-            return 0..0;
-        };
-        let start = self.racks.partition_point(|&x| x < r);
-        let end = self.racks.partition_point(|&x| x <= r);
-        start..end
+        match self.rack_of(id) {
+            Ok(RackId(r)) => r * self.rack_size..((r + 1) * self.rack_size).min(self.len()),
+            Err(_) => 0..0,
+        }
+    }
+
+    /// Number of racks; rack ids are dense in `0..num_racks()`.
+    pub fn num_racks(&self) -> usize {
+        self.len().div_ceil(self.rack_size)
     }
 
     /// Whether two machines share a rack.
@@ -278,12 +283,11 @@ impl FleetBuilder {
             .enumerate()
             .map(|(i, p)| Machine::new(MachineId(i), p))
             .collect();
-        let racks = (0..machines.len()).map(|i| RackId(i / rack_size)).collect();
         let map_slot_total = machines.iter().map(|m| m.profile().map_slots()).sum();
         let reduce_slot_total = machines.iter().map(|m| m.profile().reduce_slots()).sum();
         Ok(Fleet {
             machines,
-            racks,
+            rack_size,
             map_slot_total,
             reduce_slot_total,
         })
@@ -373,6 +377,37 @@ mod tests {
         assert!(fleet.same_rack(MachineId(0), MachineId(3)));
         assert!(!fleet.same_rack(MachineId(3), MachineId(4)));
         assert!(!fleet.same_rack(MachineId(0), MachineId(99)));
+    }
+
+    #[test]
+    fn rack_arithmetic_with_a_short_last_rack() {
+        // 10 machines in racks of 4: {0..3}, {4..7}, {8, 9}.
+        let fleet = Fleet::builder()
+            .add(profiles::desktop(), 10)
+            .rack_size(4)
+            .build()
+            .unwrap();
+        assert_eq!(fleet.num_racks(), 3);
+        let spans = [0..4, 0..4, 0..4, 0..4, 4..8, 4..8, 4..8, 4..8, 8..10, 8..10];
+        for (i, want) in spans.into_iter().enumerate() {
+            assert_eq!(fleet.rack_span(MachineId(i)), want, "machine {i}");
+            assert_eq!(fleet.rack_of(MachineId(i)).unwrap(), RackId(i / 4));
+        }
+        assert_eq!(fleet.rack_span(MachineId(10)), 0..0);
+        assert!(fleet.rack_of(MachineId(10)).is_err());
+        // Every machine's span holds exactly the machines of its rack.
+        for m in fleet.ids() {
+            let rack = fleet.rack_of(m).unwrap();
+            let members: Vec<usize> = fleet
+                .ids()
+                .filter(|&o| fleet.rack_of(o).unwrap() == rack)
+                .map(MachineId::index)
+                .collect();
+            assert_eq!(members, fleet.rack_span(m).collect::<Vec<_>>());
+        }
+        let one = Fleet::builder().add(profiles::atom(), 3).build().unwrap();
+        assert_eq!(one.num_racks(), 1);
+        assert_eq!(one.rack_span(MachineId(2)), 0..3);
     }
 
     #[test]

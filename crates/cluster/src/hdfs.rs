@@ -169,55 +169,54 @@ impl BlockPlacer {
                 // Single-rack fleet: any node but `first` (n ≥ 2 here,
                 // since replication was clamped to n).
                 let k = rng.uniform_u64(0, n as u64 - 2) as usize;
-                if k < first.index() {
-                    k
-                } else {
-                    k + 1
-                }
+                nth_free(0, k, &[first])
             };
             out.push(MachineId(pick));
         }
 
         // Remaining replicas: same rack as the second when possible,
-        // otherwise any unused node.
+        // otherwise any unused node. Each pool is an ascending id range
+        // minus the (distinct) replicas inside it.
         while out.len() - base < replication {
             let replicas = &out[base..];
             let anchor = replicas[1.min(replicas.len() - 1)];
             let span = fleet.rack_span(anchor);
-            let in_rack = || {
-                span.clone()
-                    .map(MachineId)
-                    .filter(|m| !replicas.contains(m))
-            };
-            let same_rack = in_rack().count();
-            let pick = if same_rack > 0 {
-                let k = rng.uniform_u64(0, same_rack as u64 - 1) as usize;
-                in_rack().nth(k).expect("k is in bounds")
+            let in_span = replicas.iter().filter(|m| span.contains(&m.index()));
+            let same_rack = span.len() - in_span.count();
+            let (lo, pool) = if same_rack > 0 {
+                (span.start, same_rack)
             } else {
-                // The anchor's whole rack is taken: any unused node. The
-                // pool is the ascending id sequence minus the (distinct)
-                // replicas, so the k-th member is k shifted past every
-                // replica at or below it, lowest first.
-                let unused = n - replicas.len();
-                if unused == 0 {
-                    break;
-                }
-                let mut k = rng.uniform_u64(0, unused as u64 - 1) as usize;
-                let mut taken: Vec<usize> = replicas.iter().map(|m| m.index()).collect();
-                taken.sort_unstable();
-                for t in taken {
-                    if t <= k {
-                        k += 1;
-                    }
-                }
-                MachineId(k)
+                // The anchor's whole rack is taken: any unused node.
+                (0, n - replicas.len())
             };
-            out.push(pick);
+            if pool == 0 {
+                break;
+            }
+            let k = rng.uniform_u64(0, pool as u64 - 1) as usize;
+            out.push(MachineId(nth_free(lo, k, replicas)));
         }
 
         let id = BlockId(self.next_id);
         self.next_id += 1;
         id
+    }
+}
+
+/// The `k`-th (0-based) id at or above `lo` that is not in `taken`, whose
+/// ids are distinct: `lo + k` shifted past every taken id at or below the
+/// result. The shift is iterated to its least fixed point, so `taken` needs
+/// no sorting.
+fn nth_free(lo: usize, k: usize, taken: &[MachineId]) -> usize {
+    let mut id = lo + k;
+    loop {
+        let below = taken
+            .iter()
+            .filter(|m| (lo..=id).contains(&m.index()))
+            .count();
+        if lo + k + below == id {
+            return id;
+        }
+        id = lo + k + below;
     }
 }
 
@@ -350,12 +349,20 @@ mod tests {
             replicas
         }
 
-        // Rack sizes that divide the fleet, leave a remainder rack, put
-        // everything in one rack, and exceed the replication factor in a
-        // tiny fleet.
-        for (machines, rack_size, replication) in
-            [(16, 4, 3), (13, 5, 3), (6, 6, 3), (3, 2, 5), (9, 1, 2)]
-        {
+        // Rack sizes that divide the fleet, leave a remainder rack (also
+        // one smaller than the replication factor), put everything in one
+        // rack, exceed the replication factor in a tiny fleet, and the
+        // scale-1000 shape.
+        for (machines, rack_size, replication) in [
+            (16, 4, 3),
+            (13, 5, 3),
+            (6, 6, 3),
+            (3, 2, 5),
+            (9, 1, 2),
+            (1000, 40, 3),
+            (50, 40, 5),
+            (12, 4, 4),
+        ] {
             let fleet = Fleet::builder()
                 .add(profiles::desktop(), machines)
                 .rack_size(rack_size)

@@ -248,7 +248,7 @@ impl Engine {
         let live = self.arena.has_live_attempt(rt.task);
         if !finished && !live {
             match rt.kind {
-                SlotKind::Map => self.jobs[ji].return_map(&self.fleet, index),
+                SlotKind::Map => self.jobs[ji].maps.return_map(&self.fleet, index),
                 SlotKind::Reduce => self.jobs[ji].return_reduce(index),
             }
         }

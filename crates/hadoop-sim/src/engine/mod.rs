@@ -34,7 +34,7 @@ use workload::open::OpenStream;
 use workload::{BenchmarkKind, JobId, JobSpec, TaskId};
 
 use crate::cluster_state::{ClusterState, JobEntry};
-use crate::job_state::{BlockReplicas, JobState};
+use crate::job_state::{JobState, PendingMaps};
 use crate::report::TaskReport;
 use crate::result::{IntervalSnapshot, RunResult};
 use crate::scheduler::{ClusterQuery, Scheduler};
@@ -319,24 +319,34 @@ impl Engine {
     /// Panics if a job's id does not match its position among all submitted
     /// jobs (ids must be dense, starting at 0).
     pub fn submit_jobs(&mut self, specs: Vec<JobSpec>) {
+        let tasks = specs.iter().map(|s| s.num_tasks() as usize).sum();
+        self.arena.reserve(specs.len(), tasks);
+        self.jobs.reserve(specs.len());
+        self.submitted.reserve(specs.len());
+        self.duration_stats.reserve(specs.len());
         for spec in specs {
             assert_eq!(
                 spec.id().index(),
                 self.jobs.len(),
                 "job ids must be dense and in submission order"
             );
-            let blocks = BlockReplicas::place(
+            let maps = PendingMaps::place(
                 &self.fleet,
                 spec.num_maps(),
                 &mut self.placer,
                 &mut self.rng_place,
             );
-            self.state.register(&spec);
-            self.arena.register_job(spec.num_maps(), spec.num_reduces());
-            self.duration_stats.push([(0.0, 0); 2]);
-            self.jobs.push(JobState::new(&self.fleet, spec, blocks));
-            self.submitted.push(false);
+            self.register_job(spec, maps, false);
         }
+    }
+
+    /// Adds one job with its placed input blocks to every per-job table.
+    fn register_job(&mut self, spec: JobSpec, maps: PendingMaps, submitted: bool) {
+        self.state.register(&spec);
+        self.arena.register_job(spec.num_maps(), spec.num_reduces());
+        self.duration_stats.push([(0.0, 0); 2]);
+        self.jobs.push(JobState::new(spec, maps));
+        self.submitted.push(submitted);
     }
 
     /// Registers one job with an explicit block placement instead of the
@@ -359,12 +369,8 @@ impl Engine {
             spec.num_maps() as usize,
             "one block per map task required"
         );
-        self.state.register(&spec);
-        self.arena.register_job(spec.num_maps(), spec.num_reduces());
-        self.duration_stats.push([(0.0, 0); 2]);
-        let blocks = BlockReplicas::from_blocks(&blocks);
-        self.jobs.push(JobState::new(&self.fleet, spec, blocks));
-        self.submitted.push(false);
+        let maps = PendingMaps::new(&self.fleet, &blocks);
+        self.register_job(spec, maps, false);
     }
 
     /// The engine's fleet.
@@ -401,17 +407,13 @@ impl Engine {
             "stream job ids must continue the dense sequence"
         );
         let id = spec.id();
-        let blocks = BlockReplicas::place(
+        let maps = PendingMaps::place(
             &self.fleet,
             spec.num_maps(),
             &mut self.placer,
             &mut self.rng_place,
         );
-        self.state.register(&spec);
-        self.arena.register_job(spec.num_maps(), spec.num_reduces());
-        self.duration_stats.push([(0.0, 0); 2]);
-        self.jobs.push(JobState::new(&self.fleet, spec, blocks));
-        self.submitted.push(true);
+        self.register_job(spec, maps, true);
         self.state.update(id, |e| e.submitted = true);
     }
 
@@ -571,7 +573,7 @@ impl Engine {
     /// the job; cost is O(1) plus at most one active-index edit.
     fn refresh_job(&mut self, ji: usize) {
         let j = &self.jobs[ji];
-        let pending_maps = j.pending_maps();
+        let pending_maps = j.maps.len();
         let pending_reduces = j.pending_reduces(self.config.reduce_slowstart);
         let slots_occupied = j.running_tasks;
         let completed_tasks = j.completed_tasks();
@@ -606,7 +608,7 @@ impl ClusterQuery for Engine {
     fn best_map_locality(&self, job: JobId, machine: MachineId) -> Option<Locality> {
         self.jobs
             .get(job.index())
-            .and_then(|j| j.best_map_locality(&self.fleet, machine))
+            .and_then(|j| j.maps.best_map_locality(&self.fleet, machine))
     }
 
     fn total_slots(&self) -> usize {
@@ -645,7 +647,7 @@ impl ClusterQuery for Engine {
             .map(|(i, j)| JobEntry {
                 id: j.spec.id(),
                 group: self.state.job(j.spec.id()).group,
-                pending_maps: j.pending_maps(),
+                pending_maps: j.maps.len(),
                 pending_reduces: j.pending_reduces(slowstart),
                 slots_occupied: j.running_tasks,
                 completed_tasks: j.completed_tasks(),

@@ -1,6 +1,6 @@
 //! Internal per-job bookkeeping for the JobTracker.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 use simcore::{SimRng, SimTime};
 
@@ -24,7 +24,7 @@ pub enum JobPhase {
 /// The input-block replicas of every map task of one job, packed into one
 /// allocation rather than one per block.
 #[derive(Debug, Clone)]
-pub(crate) struct BlockReplicas {
+struct BlockReplicas {
     machines: Vec<MachineId>,
     /// Map `i`'s replicas are `machines[offsets[i]..offsets[i + 1]]`.
     offsets: Vec<u32>,
@@ -47,7 +47,7 @@ impl BlockReplicas {
     }
 
     /// Places `maps` blocks with `placer`, one per map task.
-    pub fn place(fleet: &Fleet, maps: u32, placer: &mut BlockPlacer, rng: &mut SimRng) -> Self {
+    fn place(fleet: &Fleet, maps: u32, placer: &mut BlockPlacer, rng: &mut SimRng) -> Self {
         let maps = maps as usize;
         let mut packed = Self::with_capacity(maps, maps * placer.replication().min(fleet.len()));
         for _ in 0..maps {
@@ -58,7 +58,7 @@ impl BlockReplicas {
     }
 
     /// Packs explicitly placed blocks, one per map task.
-    pub fn from_blocks(blocks: &[Block]) -> Self {
+    fn from_blocks(blocks: &[Block]) -> Self {
         let replicas = blocks.iter().map(|b| b.replicas.len()).sum();
         let mut packed = Self::with_capacity(blocks.len(), replicas);
         for block in blocks {
@@ -69,12 +69,12 @@ impl BlockReplicas {
     }
 
     /// Number of blocks.
-    pub fn len(&self) -> usize {
+    fn len(&self) -> usize {
         self.offsets.len() - 1
     }
 
     /// The machines holding map `index`'s input block.
-    pub fn get(&self, index: u32) -> &[MachineId] {
+    fn get(&self, index: u32) -> &[MachineId] {
         let i = index as usize;
         &self.machines[self.offsets[i] as usize..self.offsets[i + 1] as usize]
     }
@@ -108,23 +108,193 @@ impl TaskBits {
     }
 }
 
+/// The pending map tasks of one job and the locality index over their
+/// input blocks.
+///
+/// For every machine and every rack the index counts the pending blocks
+/// with a replica there, so [`PendingMaps::best_map_locality`] is two
+/// array reads instead of a scan over every pending block — the dominant
+/// per-offer cost on large fleets. The counts are freed while no map is
+/// pending and rebuilt when one is returned.
+///
+/// # Examples
+///
+/// ```
+/// use cluster::hdfs::{Block, BlockId, Locality};
+/// use cluster::{Fleet, MachineId};
+/// use hadoop_sim::PendingMaps;
+///
+/// let fleet = Fleet::builder()
+///     .add(cluster::profiles::desktop(), 8)
+///     .rack_size(4)
+///     .build()
+///     .unwrap();
+/// let block = Block { id: BlockId(0), replicas: vec![MachineId(1)] };
+/// let mut maps = PendingMaps::new(&fleet, &[block]);
+/// assert_eq!(maps.best_map_locality(&fleet, MachineId(2)), Some(Locality::RackLocal));
+/// assert_eq!(maps.take_map_for(&fleet, MachineId(5)), Some((0, Locality::Remote)));
+/// assert_eq!(maps.best_map_locality(&fleet, MachineId(1)), None);
+/// maps.return_map(&fleet, 0);
+/// assert_eq!(maps.best_map_locality(&fleet, MachineId(1)), Some(Locality::NodeLocal));
+/// ```
+#[derive(Debug, Clone)]
+pub struct PendingMaps {
+    /// Input block replicas of each map task (index-aligned).
+    blocks: BlockReplicas,
+    pending: Vec<u32>,
+    /// Pending blocks with a replica on each machine, by machine index.
+    node_replicas: Vec<u32>,
+    /// Pending blocks with a replica in each rack, by rack index (racks
+    /// deduplicated per block).
+    rack_replicas: Vec<u32>,
+}
+
+impl PendingMaps {
+    /// Indexes explicitly placed blocks, one per map task, all pending.
+    pub fn new(fleet: &Fleet, blocks: &[Block]) -> Self {
+        Self::with_blocks(fleet, BlockReplicas::from_blocks(blocks))
+    }
+
+    /// Places `maps` blocks with `placer`, one per map task, all pending.
+    pub fn place(fleet: &Fleet, maps: u32, placer: &mut BlockPlacer, rng: &mut SimRng) -> Self {
+        Self::with_blocks(fleet, BlockReplicas::place(fleet, maps, placer, rng))
+    }
+
+    fn with_blocks(fleet: &Fleet, blocks: BlockReplicas) -> Self {
+        let mut maps = PendingMaps {
+            pending: (0..blocks.len() as u32).collect(),
+            blocks,
+            node_replicas: Vec::new(),
+            rack_replicas: Vec::new(),
+        };
+        for idx in 0..maps.blocks.len() as u32 {
+            maps.track_block(fleet, idx, true);
+        }
+        maps
+    }
+
+    /// Adds (`add`) or removes the replica counts of map `idx`'s block as
+    /// it enters or leaves the pending queue. Machines and racks are
+    /// deduplicated per block so a block counts each location once. The
+    /// first block added while the counts are freed reallocates them.
+    fn track_block(&mut self, fleet: &Fleet, idx: u32, add: bool) {
+        if add && self.node_replicas.is_empty() {
+            self.node_replicas = vec![0; fleet.len()];
+            self.rack_replicas = vec![0; fleet.num_racks()];
+        }
+        let bump = |count: &mut u32| {
+            if add {
+                *count += 1;
+            } else {
+                *count -= 1;
+            }
+        };
+        let replicas = self.blocks.get(idx);
+        for (i, &replica) in replicas.iter().enumerate() {
+            let prior = &replicas[..i];
+            if !prior.contains(&replica) {
+                bump(&mut self.node_replicas[replica.index()]);
+            }
+            if let Ok(rack) = fleet.rack_of(replica) {
+                if !prior.iter().any(|&r| fleet.same_rack(r, replica)) {
+                    bump(&mut self.rack_replicas[rack.0]);
+                }
+            }
+        }
+    }
+
+    /// Number of pending map tasks.
+    pub fn len(&self) -> u32 {
+        self.pending.len() as u32
+    }
+
+    /// Whether no map task is pending.
+    pub fn is_empty(&self) -> bool {
+        self.pending.is_empty()
+    }
+
+    /// The pending map task indices, in queue order.
+    pub fn pending(&self) -> &[u32] {
+        &self.pending
+    }
+
+    /// The machines holding map `index`'s input block.
+    pub fn replicas(&self, index: u32) -> &[MachineId] {
+        self.blocks.get(index)
+    }
+
+    /// The best locality any pending map task would have on `machine`, or
+    /// `None` when none is pending. The class is exactly the fold of
+    /// [`locality`] over the pending blocks: NodeLocal beats RackLocal
+    /// beats Remote, and [`locality`] assigns NodeLocal iff a replica lives
+    /// on `machine` and RackLocal iff one shares its rack.
+    pub fn best_map_locality(&self, fleet: &Fleet, machine: MachineId) -> Option<Locality> {
+        if self.pending.is_empty() {
+            return None;
+        }
+        Some(self.best_locality_class(fleet, machine))
+    }
+
+    /// The locality class the replica counts prove for `machine`, assuming
+    /// pending maps exist.
+    fn best_locality_class(&self, fleet: &Fleet, machine: MachineId) -> Locality {
+        let held = |counts: &[u32], i: usize| counts.get(i).is_some_and(|&c| c > 0);
+        if held(&self.node_replicas, machine.index()) {
+            return Locality::NodeLocal;
+        }
+        if let Ok(rack) = fleet.rack_of(machine) {
+            if held(&self.rack_replicas, rack.0) {
+                return Locality::RackLocal;
+            }
+        }
+        Locality::Remote
+    }
+
+    /// Removes and returns the pending map task with the best locality on
+    /// `machine`, together with its locality level.
+    ///
+    /// The replica counts name the best achievable class up front; the
+    /// queue scan then only needs the *first* pending block of that class —
+    /// the same block the strict-upgrade scan it replaces settled on — and
+    /// Remote picks position 0 without scanning at all.
+    pub fn take_map_for(&mut self, fleet: &Fleet, machine: MachineId) -> Option<(u32, Locality)> {
+        if self.pending.is_empty() {
+            return None;
+        }
+        let best_loc = self.best_locality_class(fleet, machine);
+        let best_pos = match best_loc {
+            Locality::Remote => 0,
+            class => self
+                .pending
+                .iter()
+                .position(|&idx| locality(fleet, self.blocks.get(idx), machine) == class)
+                .expect("replica counts name a pending block"),
+        };
+        let idx = self.pending.swap_remove(best_pos);
+        if self.pending.is_empty() {
+            self.node_replicas = Vec::new();
+            self.rack_replicas = Vec::new();
+        } else {
+            self.track_block(fleet, idx, false);
+        }
+        Some((idx, best_loc))
+    }
+
+    /// Returns map `index` to the pending queue (assignment failed, or its
+    /// output was lost).
+    pub fn return_map(&mut self, fleet: &Fleet, index: u32) {
+        self.pending.push(index);
+        self.track_block(fleet, index, true);
+    }
+}
+
 /// JobTracker-side state of one submitted job.
 #[derive(Debug, Clone)]
 pub(crate) struct JobState {
     pub spec: JobSpec,
-    /// Input block replicas of each map task (index-aligned).
-    pub blocks: BlockReplicas,
-    pending_maps: Vec<u32>,
+    /// Pending map tasks and their input blocks' locality index.
+    pub maps: PendingMaps,
     pending_reduces: VecDeque<u32>,
-    /// Pending map blocks with a replica on each machine (machine index →
-    /// block count, entries removed at zero). With its rack-level sibling
-    /// this makes [`JobState::best_map_locality`] two map probes instead of
-    /// a scan over every pending block — the dominant per-offer cost on
-    /// large fleets.
-    node_replicas: BTreeMap<usize, u32>,
-    /// Pending map blocks with a replica in each rack (rack index → block
-    /// count, racks deduplicated per block).
-    rack_replicas: BTreeMap<usize, u32>,
     /// Tasks some attempt has completed: maps, then reduces.
     finished: [TaskBits; 2],
     pub running_tasks: u32,
@@ -135,63 +305,23 @@ pub(crate) struct JobState {
 }
 
 impl JobState {
-    pub fn new(fleet: &Fleet, spec: JobSpec, blocks: BlockReplicas) -> Self {
-        debug_assert_eq!(blocks.len(), spec.num_maps() as usize);
-        let pending_maps: Vec<u32> = (0..spec.num_maps()).collect();
+    pub fn new(spec: JobSpec, maps: PendingMaps) -> Self {
+        debug_assert_eq!(maps.len(), spec.num_maps());
         let pending_reduces = (0..spec.num_reduces()).collect();
         let finished = [
             TaskBits::new(spec.num_maps()),
             TaskBits::new(spec.num_reduces()),
         ];
-        let mut state = JobState {
+        JobState {
             spec,
-            blocks,
-            pending_maps,
+            maps,
             pending_reduces,
-            node_replicas: BTreeMap::new(),
-            rack_replicas: BTreeMap::new(),
             finished,
             running_tasks: 0,
             completed_maps: 0,
             completed_reduces: 0,
             first_task_at: None,
             finished_at: None,
-        };
-        for idx in 0..state.blocks.len() as u32 {
-            state.track_block(fleet, idx, true);
-        }
-        state
-    }
-
-    /// Adds (`add`) or removes the replica counts of map `idx`'s block as
-    /// it enters or leaves the pending queue. Machines and racks are
-    /// deduplicated per block so a block counts each location once.
-    fn track_block(&mut self, fleet: &Fleet, idx: u32, add: bool) {
-        let replicas = self.blocks.get(idx);
-        let bump = |map: &mut BTreeMap<usize, u32>, key: usize| {
-            if add {
-                *map.entry(key).or_insert(0) += 1;
-            } else {
-                let count = map.get_mut(&key).expect("tracked replica count");
-                *count -= 1;
-                if *count == 0 {
-                    map.remove(&key);
-                }
-            }
-        };
-        for (i, &replica) in replicas.iter().enumerate() {
-            let prior = &replicas[..i];
-            if !prior.contains(&replica) {
-                bump(&mut self.node_replicas, replica.index());
-            }
-            if let Ok(rack) = fleet.rack_of(replica) {
-                if !prior
-                    .iter()
-                    .any(|&r| fleet.rack_of(r).is_ok_and(|x| x == rack))
-                {
-                    bump(&mut self.rack_replicas, rack.0);
-                }
-            }
         }
     }
 
@@ -214,10 +344,6 @@ impl JobState {
         self.completed_maps + self.completed_reduces
     }
 
-    pub fn pending_maps(&self) -> u32 {
-        self.pending_maps.len() as u32
-    }
-
     /// Reduce tasks become eligible once `slowstart` of the maps finished.
     pub fn reduces_eligible(&self, slowstart: f64) -> bool {
         if self.spec.num_reduces() == 0 {
@@ -234,69 +360,12 @@ impl JobState {
         }
     }
 
-    /// The best locality any pending map task would have on `machine` —
-    /// two replica-count probes instead of a pending-queue scan. The class
-    /// is exactly the scan's fold: NodeLocal beats RackLocal beats Remote,
-    /// and [`locality`] assigns NodeLocal iff a replica lives on `machine`
-    /// and RackLocal iff one shares its rack.
-    pub fn best_map_locality(&self, fleet: &Fleet, machine: MachineId) -> Option<Locality> {
-        if self.pending_maps.is_empty() {
-            return None;
-        }
-        Some(self.best_locality_class(fleet, machine))
-    }
-
-    /// The locality class the replica counts prove for `machine`, assuming
-    /// pending maps exist.
-    fn best_locality_class(&self, fleet: &Fleet, machine: MachineId) -> Locality {
-        if self.node_replicas.contains_key(&machine.index()) {
-            return Locality::NodeLocal;
-        }
-        if let Ok(rack) = fleet.rack_of(machine) {
-            if self.rack_replicas.contains_key(&rack.0) {
-                return Locality::RackLocal;
-            }
-        }
-        Locality::Remote
-    }
-
-    /// Removes and returns the pending map task with the best locality on
-    /// `machine`, together with its locality level.
-    ///
-    /// The replica counts name the best achievable class up front; the
-    /// queue scan then only needs the *first* pending block of that class —
-    /// the same block the strict-upgrade scan it replaces settled on — and
-    /// Remote picks position 0 without scanning at all.
-    pub fn take_map_for(&mut self, fleet: &Fleet, machine: MachineId) -> Option<(u32, Locality)> {
-        if self.pending_maps.is_empty() {
-            return None;
-        }
-        let best_loc = self.best_locality_class(fleet, machine);
-        let best_pos = match best_loc {
-            Locality::Remote => 0,
-            class => self
-                .pending_maps
-                .iter()
-                .position(|&idx| locality(fleet, self.blocks.get(idx), machine) == class)
-                .expect("replica counts name a pending block"),
-        };
-        let idx = self.pending_maps.swap_remove(best_pos);
-        self.track_block(fleet, idx, false);
-        Some((idx, best_loc))
-    }
-
     /// Removes and returns the next pending reduce task, if eligible.
     pub fn take_reduce(&mut self, slowstart: f64) -> Option<u32> {
         if !self.reduces_eligible(slowstart) {
             return None;
         }
         self.pending_reduces.pop_front()
-    }
-
-    /// Returns a map task to the pending queue (assignment failed).
-    pub fn return_map(&mut self, fleet: &Fleet, index: u32) {
-        self.pending_maps.push(index);
-        self.track_block(fleet, index, true);
     }
 
     /// Returns a reduce task to the pending queue (assignment failed).
@@ -337,7 +406,7 @@ impl JobState {
 
     /// Releases the running-slot count of an attempt that failed without
     /// finishing its task (random failure or machine crash). The task
-    /// itself is re-queued separately via [`JobState::return_map`] /
+    /// itself is re-queued separately via [`PendingMaps::return_map`] /
     /// [`JobState::return_reduce`] when no other attempt remains.
     pub fn note_task_failed(&mut self) {
         debug_assert!(self.running_tasks > 0);
@@ -355,8 +424,7 @@ impl JobState {
         debug_assert!(self.completed_maps > 0);
         self.completed_maps -= 1;
         if requeue {
-            self.pending_maps.push(index);
-            self.track_block(fleet, index, true);
+            self.maps.return_map(fleet, index);
         }
     }
 }
@@ -391,7 +459,7 @@ mod tests {
                 replicas: vec![MachineId(i as usize % 8)],
             })
             .collect();
-        JobState::new(&fleet(), spec, BlockReplicas::from_blocks(&blocks))
+        JobState::new(spec, PendingMaps::new(&fleet(), &blocks))
     }
 
     #[test]
@@ -435,13 +503,13 @@ mod tests {
         let f = fleet();
         let mut j = job(8, 0);
         // Machine 3's block is map index 3.
-        let (idx, loc) = j.take_map_for(&f, MachineId(3)).unwrap();
+        let (idx, loc) = j.maps.take_map_for(&f, MachineId(3)).unwrap();
         assert_eq!(idx, 3);
         assert_eq!(loc, Locality::NodeLocal);
-        assert_eq!(j.pending_maps(), 7);
+        assert_eq!(j.maps.len(), 7);
         // Taking again for machine 3: block gone, next best is rack-local
         // (machines 0..3 are rack 0).
-        let (_, loc) = j.take_map_for(&f, MachineId(3)).unwrap();
+        let (_, loc) = j.maps.take_map_for(&f, MachineId(3)).unwrap();
         assert_eq!(loc, Locality::RackLocal);
     }
 
@@ -450,13 +518,13 @@ mod tests {
         let f = fleet();
         let j = job(8, 0);
         assert_eq!(
-            j.best_map_locality(&f, MachineId(5)),
+            j.maps.best_map_locality(&f, MachineId(5)),
             Some(Locality::NodeLocal)
         );
         let empty = job(1, 0);
         // Machine 7 is in rack 1; block 0 lives on machine 0 (rack 0).
         assert_eq!(
-            empty.best_map_locality(&f, MachineId(7)),
+            empty.maps.best_map_locality(&f, MachineId(7)),
             Some(Locality::Remote)
         );
     }
@@ -478,11 +546,12 @@ mod tests {
                 ],
             })
             .collect();
-        let mut j = JobState::new(&f, spec, BlockReplicas::from_blocks(&blocks));
+        let mut j = JobState::new(spec, PendingMaps::new(&f, &blocks));
         let scan = |j: &JobState, machine: MachineId| {
-            j.pending_maps
+            j.maps
+                .pending()
                 .iter()
-                .map(|&idx| locality(&f, j.blocks.get(idx), machine))
+                .map(|&idx| locality(&f, j.maps.replicas(idx), machine))
                 .min_by_key(|l| match l {
                     Locality::NodeLocal => 0,
                     Locality::RackLocal => 1,
@@ -491,28 +560,31 @@ mod tests {
         };
         let check_all = |j: &JobState| {
             for m in 0..8 {
-                assert_eq!(j.best_map_locality(&f, MachineId(m)), scan(j, MachineId(m)));
+                assert_eq!(
+                    j.maps.best_map_locality(&f, MachineId(m)),
+                    scan(j, MachineId(m))
+                );
             }
         };
         check_all(&j);
-        let (taken, loc) = j.take_map_for(&f, MachineId(2)).unwrap();
+        let (taken, loc) = j.maps.take_map_for(&f, MachineId(2)).unwrap();
         assert_eq!(loc, Locality::NodeLocal);
         check_all(&j);
-        j.return_map(&f, taken);
+        j.maps.return_map(&f, taken);
         check_all(&j);
-        while j.take_map_for(&f, MachineId(0)).is_some() {
+        while j.maps.take_map_for(&f, MachineId(0)).is_some() {
             check_all(&j);
         }
-        assert_eq!(j.best_map_locality(&f, MachineId(0)), None);
+        assert_eq!(j.maps.best_map_locality(&f, MachineId(0)), None);
     }
 
     #[test]
     fn returned_tasks_are_reassignable() {
         let f = fleet();
         let mut j = job(2, 1);
-        let (idx, _) = j.take_map_for(&f, MachineId(0)).unwrap();
-        j.return_map(&f, idx);
-        assert_eq!(j.pending_maps(), 2);
+        let (idx, _) = j.maps.take_map_for(&f, MachineId(0)).unwrap();
+        j.maps.return_map(&f, idx);
+        assert_eq!(j.maps.len(), 2);
         for i in 0..2 {
             j.note_task_started(SimTime::ZERO);
             j.note_task_completed(SimTime::from_secs(i), SlotKind::Map, i as u32);
@@ -526,13 +598,13 @@ mod tests {
     fn lost_map_outputs_revert_to_pending() {
         let f = fleet();
         let mut j = job(4, 2);
-        let (idx, _) = j.take_map_for(&f, MachineId(0)).unwrap();
+        let (idx, _) = j.maps.take_map_for(&f, MachineId(0)).unwrap();
         j.note_task_started(SimTime::ZERO);
         j.note_task_completed(SimTime::from_secs(1), SlotKind::Map, idx);
         assert_eq!(j.completed_maps, 1);
         j.lose_map_output(&f, idx, true);
         assert_eq!(j.completed_maps, 0);
-        assert_eq!(j.pending_maps(), 4);
+        assert_eq!(j.maps.len(), 4);
         assert!(!j.is_task_finished(SlotKind::Map, idx));
         // Re-execution wins again.
         j.note_task_started(SimTime::from_secs(2));
@@ -543,13 +615,13 @@ mod tests {
     fn failed_attempts_release_the_running_count() {
         let f = fleet();
         let mut j = job(2, 0);
-        let (idx, _) = j.take_map_for(&f, MachineId(0)).unwrap();
+        let (idx, _) = j.maps.take_map_for(&f, MachineId(0)).unwrap();
         j.note_task_started(SimTime::ZERO);
         assert_eq!(j.running_tasks, 1);
         j.note_task_failed();
         assert_eq!(j.running_tasks, 0);
-        j.return_map(&f, idx);
-        assert_eq!(j.pending_maps(), 2);
+        j.maps.return_map(&f, idx);
+        assert_eq!(j.maps.len(), 2);
         assert_eq!(j.phase(), JobPhase::Running);
     }
 
@@ -557,8 +629,8 @@ mod tests {
     fn exhausted_maps_return_none() {
         let f = fleet();
         let mut j = job(1, 0);
-        assert!(j.take_map_for(&f, MachineId(0)).is_some());
-        assert!(j.take_map_for(&f, MachineId(0)).is_none());
-        assert_eq!(j.best_map_locality(&f, MachineId(0)), None);
+        assert!(j.maps.take_map_for(&f, MachineId(0)).is_some());
+        assert!(j.maps.take_map_for(&f, MachineId(0)).is_none());
+        assert_eq!(j.maps.best_map_locality(&f, MachineId(0)), None);
     }
 }

@@ -70,7 +70,7 @@ pub use config::{
     StopCondition,
 };
 pub use engine::Engine;
-pub use job_state::JobPhase;
+pub use job_state::{JobPhase, PendingMaps};
 pub use report::{TaskReport, UtilizationSample};
 pub use result::{IntervalSnapshot, JobOutcome, MachineOutcome, RunResult, ServiceStats};
 pub use scheduler::{generic_candidates, ClusterQuery, GreedyScheduler, Scheduler};

@@ -95,6 +95,13 @@ impl TaskArena {
         }
     }
 
+    /// Reserves room for `jobs` more jobs with `tasks` tasks between them.
+    pub fn reserve(&mut self, jobs: usize, tasks: usize) {
+        self.base.reserve(jobs);
+        self.num_maps.reserve(jobs);
+        self.slots.reserve(tasks);
+    }
+
     /// Registers the next job's tasks. Jobs must register densely in id
     /// order, matching the engine's submission invariant.
     pub fn register_job(&mut self, num_maps: u32, num_reduces: u32) {

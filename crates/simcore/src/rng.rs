@@ -160,15 +160,17 @@ impl SimRng {
         }
         let n = span + 1;
         // Lemire (2019): multiply a 64-bit draw by n and keep the high word;
-        // reject the small biased band of low products.
-        let threshold = n.wrapping_neg() % n;
-        loop {
-            let x = self.next_u64();
-            let m = u128::from(x) * u128::from(n);
-            if (m as u64) >= threshold {
-                return lo + (m >> 64) as u64;
+        // reject the small biased band of low products. The band's bound
+        // `2^64 mod n` is below `n`, so it is only computed (one 64-bit
+        // division) for the rare low word below `n`.
+        let mut m = u128::from(self.next_u64()) * u128::from(n);
+        if (m as u64) < n {
+            let threshold = n.wrapping_neg() % n;
+            while (m as u64) < threshold {
+                m = u128::from(self.next_u64()) * u128::from(n);
             }
         }
+        lo + (m >> 64) as u64
     }
 
     /// An exponential draw with the given rate (events per unit time).
@@ -401,6 +403,57 @@ mod tests {
         for (i, &c) in counts.iter().enumerate() {
             let frac = f64::from(c) / f64::from(n);
             assert!((frac - 0.125).abs() < 0.01, "bucket {i}: {frac}");
+        }
+    }
+
+    /// The eager-threshold form `uniform_u64` replaced: every draw pays
+    /// the `2^64 mod n` division up front.
+    fn uniform_u64_eager(rng: &mut SimRng, lo: u64, hi: u64) -> u64 {
+        let span = hi - lo;
+        if span == u64::MAX {
+            return rng.next_u64();
+        }
+        let n = span + 1;
+        let threshold = n.wrapping_neg() % n;
+        loop {
+            let m = u128::from(rng.next_u64()) * u128::from(n);
+            if (m as u64) >= threshold {
+                return lo + (m >> 64) as u64;
+            }
+        }
+    }
+
+    #[test]
+    fn uniform_u64_matches_eager_threshold_oracle() {
+        // Small bounds, the placer's pool sizes, and the rejection-heavy
+        // large bounds (2^63 + 1 rejects about half of all draws).
+        let bounds = [
+            1,
+            2,
+            3,
+            7,
+            40,
+            1000,
+            (1 << 32) + 1,
+            (1 << 63) + 1,
+            u64::MAX - 1,
+        ];
+        for seed in [0, 1, 42, 2015, u64::MAX] {
+            for n in bounds {
+                for lo in [0, 1] {
+                    let hi = lo + (n - 1);
+                    let mut fast = SimRng::seed_from(seed);
+                    let mut eager = SimRng::seed_from(seed);
+                    for i in 0..2000 {
+                        assert_eq!(
+                            fast.uniform_u64(lo, hi),
+                            uniform_u64_eager(&mut eager, lo, hi),
+                            "seed {seed}, n {n}, lo {lo}, draw {i}"
+                        );
+                    }
+                    assert_eq!(fast.inner, eager.inner, "seed {seed}, n {n}: state");
+                }
+            }
         }
     }
 

@@ -10,13 +10,14 @@
 
 use std::collections::BTreeMap;
 
-use cluster::hdfs::BlockPlacer;
+use cluster::hdfs::{locality, BlockPlacer, Locality};
 use cluster::{profiles, Fleet, MachineId};
 use eant::{
     heuristic, EnergyModel, ExchangeStrategy, PheromoneTable, TaskAnalyzer, TaskEnergyRecord,
 };
 use hadoop_sim::{
-    Engine, EngineConfig, GreedyScheduler, NoiseConfig, PowerDownConfig, SpeculationPolicy,
+    Engine, EngineConfig, GreedyScheduler, NoiseConfig, PendingMaps, PowerDownConfig,
+    SpeculationPolicy,
 };
 use simcore::{EventQueue, SimRng, SimTime};
 use workload::{Benchmark, BenchmarkKind, GroupId, JobId, JobSpec};
@@ -343,6 +344,75 @@ fn block_placement_is_valid() {
             seen.dedup();
             assert_eq!(seen.len(), block.replicas.len());
             assert!(block.replicas.iter().all(|m| m.index() < fleet.len()));
+        }
+    });
+}
+
+/// The flat locality index answers exactly what a scan would: under any
+/// sequence of takes and returns on any fleet shape, the best pending-map
+/// locality on every machine equals the fold of [`locality`] over the
+/// pending blocks, and a take hands out a block of that class. Every case
+/// also drains the job (freeing the index) and returns maps afterwards.
+#[test]
+fn locality_index_matches_pending_scan() {
+    fn rank(l: Locality) -> u8 {
+        match l {
+            Locality::NodeLocal => 0,
+            Locality::RackLocal => 1,
+            Locality::Remote => 2,
+        }
+    }
+    fn assert_matches_scan(fleet: &Fleet, maps: &PendingMaps, step: usize) {
+        for m in fleet.ids() {
+            let scan = maps
+                .pending()
+                .iter()
+                .map(|&idx| locality(fleet, maps.replicas(idx), m))
+                .min_by_key(|&l| rank(l));
+            assert_eq!(
+                maps.best_map_locality(fleet, m),
+                scan,
+                "step {step}, machine {m:?}"
+            );
+        }
+    }
+    check("locality_index_matches_pending_scan", 96, |rng| {
+        let machines = rng.uniform_u64(1, 40) as usize;
+        let rack_size = rng.uniform_u64(1, 12) as usize;
+        let fleet = Fleet::builder()
+            .add(profiles::desktop(), machines)
+            .rack_size(rack_size)
+            .build()
+            .unwrap();
+        let replication = rng.uniform_u64(1, 4) as usize;
+        let blocks = rng.uniform_u64(1, 30) as u32;
+        let mut placer = BlockPlacer::new(replication);
+        let mut maps = PendingMaps::place(&fleet, blocks, &mut placer, rng);
+        let mut taken: Vec<u32> = Vec::new();
+        assert_matches_scan(&fleet, &maps, 0);
+        for step in 1..=80 {
+            if !taken.is_empty() && (maps.is_empty() || rng.chance(0.35)) {
+                let i = rng.uniform_u64(0, taken.len() as u64 - 1) as usize;
+                maps.return_map(&fleet, taken.swap_remove(i));
+            } else {
+                let m = MachineId(rng.uniform_u64(0, machines as u64 - 1) as usize);
+                let best = maps.best_map_locality(&fleet, m);
+                let (idx, loc) = maps.take_map_for(&fleet, m).expect("a map is pending");
+                assert_eq!(Some(loc), best, "step {step}: take class");
+                assert_eq!(locality(&fleet, maps.replicas(idx), m), loc);
+                taken.push(idx);
+            }
+            assert_matches_scan(&fleet, &maps, step);
+        }
+        // Drain (freeing the index), then return maps into the freed index.
+        while let Some((idx, _)) = maps.take_map_for(&fleet, MachineId(0)) {
+            taken.push(idx);
+        }
+        assert_eq!(taken.len(), blocks as usize);
+        assert_matches_scan(&fleet, &maps, 81);
+        for step in 82..82 + taken.len().min(3) {
+            maps.return_map(&fleet, taken.pop().unwrap());
+            assert_matches_scan(&fleet, &maps, step);
         }
     });
 }
