@@ -190,7 +190,7 @@ impl Engine {
                 };
                 // Re-queue unless a still-running duplicate attempt will
                 // re-complete the task on its own.
-                let live = self.arena.has_live_attempt(task);
+                let live = self.arena().has_live_attempt(task);
                 self.jobs[ji].lose_map_output(&self.fleet, index, !live);
                 // The first win was counted; the re-execution will count
                 // again. Roll the counters back so the net total stays one
@@ -239,13 +239,14 @@ impl Engine {
             .release(self.now, rt.kind, rt.core_load)
             .expect("slot was occupied");
         self.jobs[ji].note_task_failed();
-        self.arena.remove_attempt(rt.task, rt.machine);
-        self.arena.record_failure(rt.task);
+        let arena = self.arena_mut();
+        arena.remove_attempt(rt.task, rt.machine);
+        arena.record_failure(rt.task);
+        let live = arena.has_live_attempt(rt.task);
         self.task_failures += 1;
 
         let index = rt.task.task.index;
         let finished = self.jobs[ji].is_task_finished(rt.kind, index);
-        let live = self.arena.has_live_attempt(rt.task);
         if !finished && !live {
             match rt.kind {
                 SlotKind::Map => self.jobs[ji].maps.return_map(&self.fleet, index),
@@ -304,7 +305,7 @@ impl Engine {
         if fault.task_failure_prob == 0.0 {
             return (false, 1.0);
         }
-        let failures = self.arena.failures(task);
+        let failures = self.arena().failures(task);
         if failures >= fault.max_task_retries {
             return (false, 1.0);
         }

@@ -165,14 +165,10 @@ impl Engine {
         }
         self.jobs[ji].note_task_started(self.now);
         self.refresh_job(ji);
-        self.arena.push_attempt(rt.task, machine, self.now);
-
-        // Interval assignment bookkeeping (convergence analysis).
-        let counts = self
-            .interval_assignments
-            .entry(job)
-            .or_insert_with(|| vec![0; self.fleet.len()]);
-        counts[machine.index()] += 1;
+        if let Some(arena) = &mut self.arena {
+            arena.push_attempt(rt.task, machine, self.now);
+        }
+        self.interval_starts.push((job, machine));
 
         if !self.trace.is_empty() {
             self.trace.notify(
@@ -322,14 +318,16 @@ impl Engine {
             );
             self.emit_slot_occupancy(rt.machine, rt.kind);
         }
+        // Drop the attempt from the registry; any remaining attempt of a
+        // winning task will arrive later as a loser.
+        if let Some(arena) = &mut self.arena {
+            arena.remove_attempt(rt.task, rt.machine);
+        }
         if won {
             // Record the completed duration for speculation thresholds.
             let entry = &mut self.duration_stats[ji][super::kind_ix(rt.kind)];
             entry.0 += rt.duration_secs;
             entry.1 += 1;
-            // Drop the attempt registry entry; any remaining attempt of
-            // this task will arrive later as a loser.
-            self.arena.remove_attempt(rt.task, rt.machine);
             // Completed map outputs live on the winner's local disk; if
             // that machine dies before the job finishes, they are lost and
             // the map re-executes (see `fault.rs`).
@@ -342,7 +340,6 @@ impl Engine {
         } else {
             // A speculative loser: its work is discarded.
             self.wasted_attempts += 1;
-            self.arena.remove_attempt(rt.task, rt.machine);
             return;
         }
 

@@ -42,6 +42,9 @@ use crate::task_arena::TaskArena;
 use crate::trace::{Observer, ObserverSet, SimEvent};
 use crate::{EngineConfig, SpeculationPolicy, StopCondition};
 
+/// Panic message of an attempt-registry read in a run that keeps none.
+const NO_ARENA: &str = "the attempt registry is kept only with speculation or fault injection";
+
 /// Index of `kind` into per-job `[Map, Reduce]` stat arrays.
 pub(super) fn kind_ix(kind: SlotKind) -> usize {
     match kind {
@@ -132,16 +135,20 @@ pub struct Engine {
     /// [`bench_ix`]. `None` until the first one, so a count that map-output
     /// loss rolls back to zero is still reported.
     bench_counts: Vec<[Option<u64>; BenchmarkKind::ALL.len()]>,
-    // Per-interval assignment bookkeeping.
-    interval_assignments: BTreeMap<JobId, Vec<u64>>,
+    /// One `(job, machine)` pair per fresh task start since the last
+    /// control tick, folded into the interval's snapshot by
+    /// [`fold_starts`](crate::fold_starts).
+    interval_starts: Vec<(JobId, MachineId)>,
     // Power-down bookkeeping: wake-up completion time per standby machine
     // and the time the cluster last had runnable work.
     waking_until: Vec<Option<SimTime>>,
     last_work_at: SimTime,
-    // Speculation/fault bookkeeping: the dense per-task attempt registry
-    // (in-flight attempts and failure counts), completed-duration sums per
-    // job and kind (`[Map, Reduce]`), and attempt counters.
-    arena: TaskArena,
+    // Speculation/fault bookkeeping: the attempt registry (in-flight
+    // attempts and failure counts), completed-duration sums per job and
+    // kind (`[Map, Reduce]`), and attempt counters. The registry exists
+    // only when speculation or fault injection, its only readers, is
+    // configured; read it through [`Engine::arena`].
+    arena: Option<TaskArena>,
     duration_stats: Vec<[(f64, u64); 2]>,
     speculative_launched: u64,
     wasted_attempts: u64,
@@ -231,8 +238,8 @@ impl Engine {
         // byte-identical to a build without the layer.
         let rng_fault = root.fork("fault");
         let crash_schedule = fault::crash_schedules(&config, n, &rng_fault);
-        // The in-flight scan set only has a consumer when speculation runs.
-        let track_inflight = config.speculation != SpeculationPolicy::Off;
+        let arena = (config.speculation != SpeculationPolicy::Off || config.fault.is_enabled())
+            .then(TaskArena::default);
         let machine_speeds: Vec<f64> = fleet
             .iter()
             .map(|m| m.profile().cores() as f64 * m.profile().cpu_speed())
@@ -256,10 +263,10 @@ impl Engine {
             map_counts: vec![0; n],
             reduce_counts: vec![0; n],
             bench_counts: vec![[None; BenchmarkKind::ALL.len()]; n],
-            interval_assignments: BTreeMap::new(),
+            interval_starts: Vec::new(),
             waking_until: vec![None; n],
             last_work_at: SimTime::ZERO,
-            arena: TaskArena::new(track_inflight),
+            arena,
             duration_stats: Vec::new(),
             speculative_launched: 0,
             wasted_attempts: 0,
@@ -319,8 +326,6 @@ impl Engine {
     /// Panics if a job's id does not match its position among all submitted
     /// jobs (ids must be dense, starting at 0).
     pub fn submit_jobs(&mut self, specs: Vec<JobSpec>) {
-        let tasks = specs.iter().map(|s| s.num_tasks() as usize).sum();
-        self.arena.reserve(specs.len(), tasks);
         self.jobs.reserve(specs.len());
         self.submitted.reserve(specs.len());
         self.duration_stats.reserve(specs.len());
@@ -343,7 +348,6 @@ impl Engine {
     /// Adds one job with its placed input blocks to every per-job table.
     fn register_job(&mut self, spec: JobSpec, maps: PendingMaps, submitted: bool) {
         self.state.register(&spec);
-        self.arena.register_job(spec.num_maps(), spec.num_reduces());
         self.duration_stats.push([(0.0, 0); 2]);
         self.jobs.push(JobState::new(spec, maps));
         self.submitted.push(submitted);
@@ -566,6 +570,21 @@ impl Engine {
                 capacity: capacity as u32,
             },
         );
+    }
+
+    /// The attempt registry, for the speculation and fault paths.
+    ///
+    /// # Panics
+    ///
+    /// Panics if neither speculation nor fault injection is configured:
+    /// the registry is not kept then, and a reader must not be reached.
+    fn arena(&self) -> &TaskArena {
+        self.arena.as_ref().expect(NO_ARENA)
+    }
+
+    /// Mutable [`Engine::arena`], with the same panic.
+    fn arena_mut(&mut self) -> &mut TaskArena {
+        self.arena.as_mut().expect(NO_ARENA)
     }
 
     /// Re-derives a job's scoreboard row from its authoritative
@@ -1162,7 +1181,7 @@ mod tests {
             .intervals
             .iter()
             .flat_map(|s| s.assignments.values())
-            .flat_map(|v| v.iter())
+            .flat_map(|row| row.iter().map(|&(_, n)| n))
             .sum();
         assert_eq!(assigned, r.total_tasks);
         // Energy series is nondecreasing.

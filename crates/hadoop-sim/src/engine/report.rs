@@ -8,7 +8,9 @@ use cluster::SlotKind;
 use workload::BenchmarkKind;
 
 use crate::report::{TaskReport, UtilizationSample};
-use crate::result::{IntervalSnapshot, JobOutcome, MachineOutcome, RunResult, ServiceStats};
+use crate::result::{
+    fold_starts, IntervalSnapshot, JobOutcome, MachineOutcome, RunResult, ServiceStats,
+};
 use crate::scheduler::Scheduler;
 use crate::trace::SimEvent;
 use crate::StopCondition;
@@ -89,7 +91,7 @@ impl Engine {
         self.intervals.push(IntervalSnapshot {
             at: self.now,
             cumulative_energy_joules: energy,
-            assignments: std::mem::take(&mut self.interval_assignments),
+            assignments: fold_starts(&mut self.interval_starts),
         });
         // Fire before the scheduler callback so interval events precede
         // any policy events the scheduler emits at the same instant.
@@ -116,11 +118,11 @@ impl Engine {
         // the last control tick (or no tick ever fired).
         let energy = self.fleet.total_energy_joules();
         self.energy_series.record(self.now, energy);
-        if !self.interval_assignments.is_empty() || self.intervals.is_empty() {
+        if !self.interval_starts.is_empty() || self.intervals.is_empty() {
             self.intervals.push(IntervalSnapshot {
                 at: self.now,
                 cumulative_energy_joules: energy,
-                assignments: std::mem::take(&mut self.interval_assignments),
+                assignments: fold_starts(&mut self.interval_starts),
             });
         }
         let total_tasks = self.total_tasks;

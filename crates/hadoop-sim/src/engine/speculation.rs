@@ -40,12 +40,10 @@ impl Engine {
         }
 
         // Find the longest-elapsed single-attempt straggler of this kind,
-        // scanning only tasks with an in-flight attempt (the arena's
-        // id-ordered tracking set).
+        // scanning only tasks with an in-flight attempt.
         let threshold = self.config.speculation_threshold;
         let mut best: Option<(TaskId, f64)> = None;
-        for task in self.arena.inflight_tasks() {
-            let attempts = self.arena.attempts(task);
+        for (task, attempts) in self.arena().inflight() {
             if task.task.kind != kind || attempts.len() != 1 {
                 continue;
             }
@@ -63,7 +61,11 @@ impl Engine {
             }
             let mean = sum / n as f64;
             let elapsed = self.now.saturating_since(started).as_secs_f64();
-            if elapsed > threshold * mean && best.is_none_or(|(_, e)| elapsed > e) {
+            // Ties go to the smallest task id, so the choice does not
+            // depend on the registry's iteration order.
+            if elapsed > threshold * mean
+                && best.is_none_or(|(t, e)| elapsed > e || (elapsed == e && task < t))
+            {
                 best = Some((task, elapsed));
             }
         }
@@ -103,7 +105,8 @@ impl Engine {
         }
         self.jobs[ji].note_task_started(self.now);
         self.refresh_job(ji);
-        self.arena.push_attempt(task, machine, self.now);
+        let now = self.now;
+        self.arena_mut().push_attempt(task, machine, now);
         self.speculative_launched += 1;
         if !self.trace.is_empty() {
             self.trace

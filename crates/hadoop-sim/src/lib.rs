@@ -72,8 +72,10 @@ pub use config::{
 pub use engine::Engine;
 pub use job_state::{JobPhase, PendingMaps};
 pub use report::{TaskReport, UtilizationSample};
-pub use result::{IntervalSnapshot, JobOutcome, MachineOutcome, RunResult, ServiceStats};
+pub use result::{
+    fold_starts, IntervalSnapshot, JobOutcome, MachineOutcome, RunResult, ServiceStats,
+};
 pub use scheduler::{generic_candidates, ClusterQuery, GreedyScheduler, Scheduler};
-pub use task_arena::{TaskArena, TaskSlot, MAX_ATTEMPTS};
+pub use task_arena::{TaskArena, MAX_ATTEMPTS};
 pub use trace::{DecisionCandidate, PowerState, SimEvent};
 pub use watchdog::{SloBreach, SloConfig, SloStats, SloWatchdog};

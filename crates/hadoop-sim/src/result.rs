@@ -71,17 +71,18 @@ impl MachineOutcome {
     }
 }
 
-/// Per-control-interval snapshot used by convergence analysis (Fig. 11) and
-/// the energy-over-time curves (Fig. 10).
+/// Per-control-interval snapshot: the energy-over-time curves (Fig. 10)
+/// and the tasks each job started on each machine.
 #[derive(Debug, Clone, PartialEq)]
 pub struct IntervalSnapshot {
     /// End time of the interval.
     pub at: SimTime,
     /// Cumulative fleet energy at the end of the interval, in joules.
     pub cumulative_energy_joules: f64,
-    /// Tasks assigned during this interval, per job, per machine
-    /// (dense machine-indexed vector).
-    pub assignments: BTreeMap<JobId, Vec<u64>>,
+    /// Fresh (non-speculative) task starts during this interval, per job:
+    /// `(machine, starts)` for each machine with at least one start, in
+    /// ascending machine order (see [`fold_starts`]).
+    pub assignments: BTreeMap<JobId, Vec<(MachineId, u64)>>,
 }
 
 impl IntervalSnapshot {
@@ -97,23 +98,64 @@ impl IntervalSnapshot {
     /// Returns `None` when the job assigned no tasks in either interval.
     pub fn revisit_fraction(&self, previous: &IntervalSnapshot, job: JobId) -> Option<f64> {
         let cur = self.assignments.get(&job)?;
-        let cur_total: u64 = cur.iter().sum();
+        let cur_total: u64 = cur.iter().map(|&(_, n)| n).sum();
         let prev = previous.assignments.get(&job)?;
-        let prev_total: u64 = prev.iter().sum();
+        let prev_total: u64 = prev.iter().map(|&(_, n)| n).sum();
         if cur_total == 0 || prev_total == 0 {
             return None;
         }
+        // Machines absent from the current row contribute min(0, q) = 0.
         let overlap: f64 = cur
             .iter()
-            .enumerate()
-            .map(|(m, &c)| {
+            .map(|&(m, c)| {
                 let p = c as f64 / cur_total as f64;
-                let q = prev.get(m).copied().unwrap_or(0) as f64 / prev_total as f64;
+                let q = prev
+                    .binary_search_by_key(&m, |&(pm, _)| pm)
+                    .map_or(0, |i| prev[i].1) as f64
+                    / prev_total as f64;
                 p.min(q)
             })
             .sum();
         Some(overlap)
     }
+}
+
+/// Folds one interval's start log — a `(job, machine)` pair per fresh task
+/// start, in any order — into [`IntervalSnapshot::assignments`] rows, and
+/// empties the log (keeping its capacity for the next interval).
+///
+/// # Examples
+///
+/// ```
+/// use cluster::MachineId;
+/// use hadoop_sim::fold_starts;
+/// use workload::JobId;
+///
+/// let mut log = vec![
+///     (JobId(1), MachineId(4)),
+///     (JobId(0), MachineId(2)),
+///     (JobId(1), MachineId(0)),
+///     (JobId(1), MachineId(4)),
+/// ];
+/// let rows = fold_starts(&mut log);
+/// assert_eq!(rows[&JobId(0)], vec![(MachineId(2), 1)]);
+/// assert_eq!(rows[&JobId(1)], vec![(MachineId(0), 1), (MachineId(4), 2)]);
+/// assert!(log.is_empty());
+/// ```
+pub fn fold_starts(starts: &mut Vec<(JobId, MachineId)>) -> BTreeMap<JobId, Vec<(MachineId, u64)>> {
+    starts.sort_unstable();
+    let rows = starts
+        .chunk_by(|a, b| a.0 == b.0)
+        .map(|job_starts| {
+            let row = job_starts
+                .chunk_by(|a, b| a == b)
+                .map(|run| (run[0].1, run.len() as u64))
+                .collect();
+            (job_starts[0].0, row)
+        })
+        .collect();
+    starts.clear();
+    rows
 }
 
 /// Steady-state service metrics of a horizon-bounded run.
@@ -331,13 +373,17 @@ impl RunResult {
 mod tests {
     use super::*;
 
+    /// A snapshot from dense per-machine counts, stored as sparse rows.
     fn snapshot(at_secs: u64, assignments: &[(u64, Vec<u64>)]) -> IntervalSnapshot {
         IntervalSnapshot {
             at: SimTime::from_secs(at_secs),
             cumulative_energy_joules: 0.0,
             assignments: assignments
                 .iter()
-                .map(|(j, v)| (JobId(*j), v.clone()))
+                .map(|(j, counts)| {
+                    let cells = counts.iter().enumerate().filter(|&(_, &n)| n > 0);
+                    (JobId(*j), cells.map(|(m, &n)| (MachineId(m), n)).collect())
+                })
                 .collect(),
         }
     }

@@ -1,16 +1,17 @@
-//! Dense per-task attempt state.
+//! Per-task attempt state for the paths that read it.
 //!
-//! The engine used to keep attempt registries in `BTreeMap`s keyed by
-//! [`TaskId`] — one tree node allocation plus an O(log tasks) descent per
-//! start, completion and failure. At paper scale (87 jobs) that is noise; at
-//! 10 000 jobs × 64 tasks it dominates the fault bookkeeping. The arena
-//! replaces those maps with flat vectors indexed by a per-job base offset:
-//! every lookup is two array reads, and one run allocates exactly one slot
-//! per task up front.
+//! Speculation scans the tasks with a running attempt; fault injection asks
+//! whether a task still has a live attempt and how often it has failed.
+//! Nothing else reads attempt state, so the engine builds a [`TaskArena`]
+//! only when speculation or fault injection is configured. The arena holds
+//! an entry only for a task with something to record — an attempt in
+//! flight or a failure behind it — so its size follows the work in flight,
+//! not the number of submitted tasks.
 
-use std::collections::BTreeSet;
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
-use cluster::{MachineId, SlotKind};
+use cluster::MachineId;
 use simcore::SimTime;
 use workload::TaskId;
 
@@ -19,34 +20,61 @@ use workload::TaskId;
 /// speculation policies only clone tasks with exactly one running attempt).
 pub const MAX_ATTEMPTS: usize = 2;
 
-/// One task's attempt state: in-flight attempts in launch order plus the
-/// failed-attempt count that caps fault injection retries.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TaskSlot {
-    /// `(machine, started_at)` per in-flight attempt; index 0 is the oldest.
-    attempts: [(MachineId, SimTime); MAX_ATTEMPTS],
-    len: u8,
-    failures: u32,
-}
+/// Multiply-rotate hashing (the FxHash step) for task ids. On a
+/// fault-heavy run (the `faults/moderate_msd12_fair` bench workload, about
+/// 30 000 registry operations; best of 200 runs on a 2-core Xeon) an
+/// id-ordered `BTreeMap` was about 24 % slower than a dense per-task array,
+/// a `HashMap` with std's SipHash about 12 %, and one with this hasher about
+/// 3 %.
+#[derive(Debug, Default)]
+struct TaskHasher(u64);
 
-impl Default for TaskSlot {
-    fn default() -> Self {
-        TaskSlot {
-            attempts: [(MachineId(0), SimTime::ZERO); MAX_ATTEMPTS],
-            len: 0,
-            failures: 0,
+impl Hasher for TaskHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
         }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.write_u64(u64::from(n));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.write_u64(n as u64);
     }
 }
 
-/// Flat per-task attempt registry for every submitted job.
+type TaskMap<V> = HashMap<TaskId, V, BuildHasherDefault<TaskHasher>>;
+
+/// One task's in-flight attempts in launch order.
+#[derive(Debug, Clone, Copy)]
+struct Attempts {
+    /// `(machine, started_at)` per attempt; index 0 is the oldest.
+    list: [(MachineId, SimTime); MAX_ATTEMPTS],
+    len: u8,
+}
+
+impl Attempts {
+    fn as_slice(&self) -> &[(MachineId, SimTime)] {
+        &self.list[..self.len as usize]
+    }
+}
+
+/// Attempt registry: in-flight attempts and failed-attempt counts per task.
 ///
-/// Jobs register in id order ([`TaskArena::register_job`]); a task's slot
-/// lives at `base[job] + index` for maps and `base[job] + num_maps + index`
-/// for reduces. When in-flight tracking is enabled (speculation needs to
-/// scan running attempts), the arena additionally maintains an id-ordered
-/// set of tasks with at least one attempt — iteration order is identical to
-/// the key order of the `BTreeMap<TaskId, _>` registry it replaces.
+/// Tasks with a running attempt live in one map, whose entry for a task
+/// goes when its last attempt ends; failure counts live in a second map
+/// with an entry for each task that has failed at least once.
+/// [`TaskArena::inflight`] lists the running tasks in no particular order.
 ///
 /// # Examples
 ///
@@ -56,8 +84,7 @@ impl Default for TaskSlot {
 /// use simcore::SimTime;
 /// use workload::{JobId, TaskId, TaskIndex};
 ///
-/// let mut arena = TaskArena::new(true);
-/// arena.register_job(4, 1);
+/// let mut arena = TaskArena::default();
 /// let task = TaskId {
 ///     job: JobId(0),
 ///     task: TaskIndex { kind: SlotKind::Map, index: 2 },
@@ -65,81 +92,25 @@ impl Default for TaskSlot {
 /// arena.push_attempt(task, MachineId(3), SimTime::ZERO);
 /// assert_eq!(arena.attempts(task), &[(MachineId(3), SimTime::ZERO)]);
 /// assert!(arena.has_live_attempt(task));
-/// assert_eq!(arena.inflight_tasks().collect::<Vec<_>>(), vec![task]);
+/// assert_eq!(arena.inflight().map(|(t, _)| t).collect::<Vec<_>>(), vec![task]);
 /// arena.remove_attempt(task, MachineId(3));
 /// assert!(!arena.has_live_attempt(task));
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct TaskArena {
-    /// First slot index of each job's tasks.
-    base: Vec<u32>,
-    /// Map count per job (the reduce slots start after the maps).
-    num_maps: Vec<u32>,
-    slots: Vec<TaskSlot>,
-    /// Tasks with at least one in-flight attempt, in `TaskId` order — the
-    /// speculation scan's iteration set. `None` when no consumer iterates
-    /// (speculation off), so the common path pays nothing for it.
-    inflight: Option<BTreeSet<TaskId>>,
+    inflight: TaskMap<Attempts>,
+    failures: TaskMap<u32>,
 }
 
 impl TaskArena {
-    /// Creates an empty arena. With `track_inflight`, the arena maintains
-    /// the id-ordered in-flight task set behind
-    /// [`TaskArena::inflight_tasks`].
-    pub fn new(track_inflight: bool) -> Self {
-        TaskArena {
-            base: Vec::new(),
-            num_maps: Vec::new(),
-            slots: Vec::new(),
-            inflight: track_inflight.then(BTreeSet::new),
-        }
-    }
-
-    /// Reserves room for `jobs` more jobs with `tasks` tasks between them.
-    pub fn reserve(&mut self, jobs: usize, tasks: usize) {
-        self.base.reserve(jobs);
-        self.num_maps.reserve(jobs);
-        self.slots.reserve(tasks);
-    }
-
-    /// Registers the next job's tasks. Jobs must register densely in id
-    /// order, matching the engine's submission invariant.
-    pub fn register_job(&mut self, num_maps: u32, num_reduces: u32) {
-        self.base.push(self.slots.len() as u32);
-        self.num_maps.push(num_maps);
-        self.slots.extend(std::iter::repeat_n(
-            TaskSlot::default(),
-            (num_maps + num_reduces) as usize,
-        ));
-    }
-
-    /// Number of registered jobs.
-    pub fn jobs(&self) -> usize {
-        self.base.len()
-    }
-
-    fn slot_index(&self, task: TaskId) -> usize {
-        let ji = task.job.index();
-        let offset = match task.task.kind {
-            SlotKind::Map => task.task.index,
-            SlotKind::Reduce => self.num_maps[ji] + task.task.index,
-        };
-        (self.base[ji] + offset) as usize
-    }
-
     /// The in-flight attempts of `task`, oldest first.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the task's job was never registered (all lookups do).
     pub fn attempts(&self, task: TaskId) -> &[(MachineId, SimTime)] {
-        let slot = &self.slots[self.slot_index(task)];
-        &slot.attempts[..slot.len as usize]
+        self.inflight.get(&task).map_or(&[], Attempts::as_slice)
     }
 
     /// Whether `task` has at least one in-flight attempt.
     pub fn has_live_attempt(&self, task: TaskId) -> bool {
-        self.slots[self.slot_index(task)].len > 0
+        self.inflight.contains_key(&task)
     }
 
     /// Records a new in-flight attempt of `task` on `machine`.
@@ -150,67 +121,60 @@ impl TaskArena {
     /// attempt is dropped from the registry (the engine never launches a
     /// third concurrent attempt).
     pub fn push_attempt(&mut self, task: TaskId, machine: MachineId, at: SimTime) {
-        let ix = self.slot_index(task);
-        let slot = &mut self.slots[ix];
+        let entry = self.inflight.entry(task).or_insert(Attempts {
+            list: [(MachineId(0), SimTime::ZERO); MAX_ATTEMPTS],
+            len: 0,
+        });
+        let len = entry.len as usize;
         debug_assert!(
-            (slot.len as usize) < MAX_ATTEMPTS,
+            len < MAX_ATTEMPTS,
             "more than {MAX_ATTEMPTS} concurrent attempts of {task}"
         );
-        if (slot.len as usize) < MAX_ATTEMPTS {
-            slot.attempts[slot.len as usize] = (machine, at);
-            slot.len += 1;
-        }
-        if let Some(set) = &mut self.inflight {
-            set.insert(task);
+        if len < MAX_ATTEMPTS {
+            entry.list[len] = (machine, at);
+            entry.len += 1;
         }
     }
 
     /// Removes the in-flight attempt of `task` running on `machine`, if
     /// any, preserving the launch order of the rest.
     pub fn remove_attempt(&mut self, task: TaskId, machine: MachineId) {
-        let ix = self.slot_index(task);
-        let slot = &mut self.slots[ix];
-        let len = slot.len as usize;
-        let Some(pos) = slot.attempts[..len].iter().position(|&(m, _)| m == machine) else {
+        let Some(entry) = self.inflight.get_mut(&task) else {
             return;
         };
-        slot.attempts.copy_within(pos + 1..len, pos);
-        slot.len -= 1;
-        if slot.len == 0 {
-            if let Some(set) = &mut self.inflight {
-                set.remove(&task);
-            }
+        let len = entry.len as usize;
+        let Some(pos) = entry.list[..len].iter().position(|&(m, _)| m == machine) else {
+            return;
+        };
+        if len == 1 {
+            self.inflight.remove(&task);
+        } else {
+            entry.list.copy_within(pos + 1..len, pos);
+            entry.len -= 1;
         }
     }
 
     /// Failed-attempt count of `task` (crashes and injected failures).
     pub fn failures(&self, task: TaskId) -> u32 {
-        self.slots[self.slot_index(task)].failures
+        self.failures.get(&task).copied().unwrap_or(0)
     }
 
     /// Counts one failed attempt of `task`.
     pub fn record_failure(&mut self, task: TaskId) {
-        let ix = self.slot_index(task);
-        self.slots[ix].failures += 1;
+        *self.failures.entry(task).or_insert(0) += 1;
     }
 
-    /// Tasks with at least one in-flight attempt, in `TaskId` order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the arena was created without in-flight tracking.
-    pub fn inflight_tasks(&self) -> impl Iterator<Item = TaskId> + '_ {
-        self.inflight
-            .as_ref()
-            .expect("arena was created without in-flight tracking")
-            .iter()
-            .copied()
+    /// Tasks with at least one in-flight attempt and those attempts, in no
+    /// particular order.
+    pub fn inflight(&self) -> impl Iterator<Item = (TaskId, &[(MachineId, SimTime)])> + '_ {
+        self.inflight.iter().map(|(&t, a)| (t, a.as_slice()))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cluster::SlotKind;
     use workload::{JobId, TaskIndex};
 
     fn task(job: u64, kind: SlotKind, index: u32) -> TaskId {
@@ -222,9 +186,7 @@ mod tests {
 
     #[test]
     fn map_and_reduce_slots_do_not_alias() {
-        let mut a = TaskArena::new(false);
-        a.register_job(2, 2);
-        a.register_job(3, 1);
+        let mut a = TaskArena::default();
         let m = task(0, SlotKind::Map, 1);
         let r = task(0, SlotKind::Reduce, 1);
         let other = task(1, SlotKind::Map, 0);
@@ -239,8 +201,7 @@ mod tests {
 
     #[test]
     fn removal_preserves_launch_order() {
-        let mut a = TaskArena::new(true);
-        a.register_job(1, 0);
+        let mut a = TaskArena::default();
         let t = task(0, SlotKind::Map, 0);
         a.push_attempt(t, MachineId(1), SimTime::ZERO);
         a.push_attempt(t, MachineId(2), SimTime::from_secs(5));
@@ -252,14 +213,12 @@ mod tests {
         a.remove_attempt(t, MachineId(9));
         assert!(a.has_live_attempt(t));
         a.remove_attempt(t, MachineId(2));
-        assert_eq!(a.inflight_tasks().count(), 0);
+        assert_eq!(a.inflight().count(), 0);
     }
 
     #[test]
-    fn inflight_iterates_in_task_id_order() {
-        let mut a = TaskArena::new(true);
-        a.register_job(4, 2);
-        a.register_job(4, 2);
+    fn inflight_lists_every_running_task() {
+        let mut a = TaskArena::default();
         let tasks = [
             task(1, SlotKind::Reduce, 0),
             task(0, SlotKind::Map, 3),
@@ -269,8 +228,15 @@ mod tests {
         for (i, &t) in tasks.iter().enumerate() {
             a.push_attempt(t, MachineId(i), SimTime::ZERO);
         }
-        let mut expected: Vec<TaskId> = tasks.to_vec();
+        a.remove_attempt(tasks[1], MachineId(1));
+        let mut listed: Vec<(TaskId, Vec<(MachineId, SimTime)>)> =
+            a.inflight().map(|(t, list)| (t, list.to_vec())).collect();
+        listed.sort();
+        let mut expected: Vec<(TaskId, Vec<(MachineId, SimTime)>)> = [0, 2, 3]
+            .into_iter()
+            .map(|i| (tasks[i], vec![(MachineId(i), SimTime::ZERO)]))
+            .collect();
         expected.sort();
-        assert_eq!(a.inflight_tasks().collect::<Vec<_>>(), expected);
+        assert_eq!(listed, expected);
     }
 }

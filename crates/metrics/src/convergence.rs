@@ -82,18 +82,25 @@ pub fn mean_convergence_minutes(run: &RunResult) -> (Option<f64>, usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cluster::MachineId;
     use hadoop_sim::{IntervalSnapshot, JobOutcome, JobPhase};
     use simcore::series::TimeSeries;
     use simcore::{SimDuration, SimTime};
 
+    /// A run whose job 0 started `counts[m]` tasks on machine `m` in each
+    /// interval.
     fn run_with_intervals(assignments: Vec<Vec<u64>>) -> RunResult {
         let intervals = assignments
             .into_iter()
             .enumerate()
-            .map(|(i, counts)| IntervalSnapshot {
-                at: SimTime::from_secs(300 * (i as u64 + 1)),
-                cumulative_energy_joules: 0.0,
-                assignments: [(JobId(0), counts)].into_iter().collect(),
+            .map(|(i, counts)| {
+                let cells = counts.iter().enumerate().filter(|&(_, &n)| n > 0);
+                let row = cells.map(|(m, &n)| (MachineId(m), n)).collect();
+                IntervalSnapshot {
+                    at: SimTime::from_secs(300 * (i as u64 + 1)),
+                    cumulative_energy_joules: 0.0,
+                    assignments: [(JobId(0), row)].into_iter().collect(),
+                }
             })
             .collect();
         RunResult {

@@ -714,7 +714,9 @@ pub fn run_result_json(run: &RunResult) -> String {
     write_array(obj.key("machines"), &run.machines, |out, m| {
         m.to_json().write(out);
     });
-    write_array(obj.key("intervals"), &run.intervals, write_interval);
+    write_array(obj.key("intervals"), &run.intervals, |out, snap| {
+        write_interval(out, snap, run.machines.len());
+    });
     run.energy_series.to_json().write(obj.key("energy_series"));
     // Schema stability: the buffered report path is gone from `RunResult`
     // (reports stream through observers instead), but every pinned golden
@@ -741,15 +743,33 @@ pub fn run_result_json(run: &RunResult) -> String {
     out
 }
 
-fn write_interval(out: &mut String, snap: &IntervalSnapshot) {
+/// Writes one interval. Its assignment rows list only machines with a
+/// start; the document gives each row as a dense array of `machines`
+/// counts.
+///
+/// # Panics
+///
+/// Panics if a row is not in ascending machine order or names a machine
+/// outside the fleet.
+fn write_interval(out: &mut String, snap: &IntervalSnapshot, machines: usize) {
     let mut obj = Fields::open(out);
     snap.at.to_json().write(obj.key("at"));
     JsonValue::Num(snap.cumulative_energy_joules).write(obj.key("cumulative_energy_joules"));
     let mut rows = Fields::open(obj.key("assignments"));
-    for (job, per_machine) in &snap.assignments {
-        write_array(rows.key(&job.0.to_string()), per_machine, |out, &n| {
+    for (job, row) in &snap.assignments {
+        let mut cells = row.iter().peekable();
+        let dense = (0..machines).map(|m| {
+            cells
+                .next_if(|(machine, _)| machine.index() == m)
+                .map_or(0, |&(_, n)| n)
+        });
+        write_array(rows.key(&job.0.to_string()), dense, |out, n| {
             JsonValue::UInt(n).write(out);
         });
+        assert!(
+            cells.next().is_none(),
+            "assignment row of job {job} is unsorted or outside the {machines}-machine fleet"
+        );
     }
     rows.close();
     obj.close();
@@ -819,17 +839,30 @@ mod tests {
     fn run_result_serializes_every_field() {
         let mut series = TimeSeries::new("energy");
         series.record(SimTime::ZERO, 0.0);
+        let machine = |id| MachineOutcome {
+            machine: MachineId(id),
+            profile: "Atom".into(),
+            energy_joules: 1.0,
+            idle_joules: 1.0,
+            workload_joules: 0.0,
+            mean_utilization: 0.0,
+            map_tasks: 0,
+            reduce_tasks: 0,
+            tasks_by_benchmark: BTreeMap::new(),
+        };
         let run = RunResult {
             scheduler: "E-Ant".into(),
             makespan: SimDuration::from_secs(10),
             drained: true,
             groups: vec!["Wordcount-S".into()],
             jobs: vec![],
-            machines: vec![],
+            machines: (0..3).map(machine).collect(),
             intervals: vec![IntervalSnapshot {
                 at: SimTime::from_secs(5),
                 cumulative_energy_joules: 12.5,
-                assignments: [(JobId(3), vec![1, 0, 2])].into_iter().collect(),
+                assignments: [(JobId(3), vec![(MachineId(0), 1), (MachineId(2), 2)])]
+                    .into_iter()
+                    .collect(),
             }],
             energy_series: series,
             total_tasks: 3,

@@ -12,8 +12,9 @@
 
 use std::collections::BTreeMap;
 
+use cluster::MachineId;
 use hadoop_sim::trace::Observer;
-use hadoop_sim::{IntervalSnapshot, RunResult, SimEvent};
+use hadoop_sim::{fold_starts, IntervalSnapshot, RunResult, SimEvent};
 use simcore::series::TimeSeries;
 use simcore::{SimDuration, SimTime};
 use workload::JobId;
@@ -31,7 +32,9 @@ pub struct StreamingRunStats {
     events_seen: u64,
     submitted_at: BTreeMap<JobId, SimTime>,
     completions: BTreeMap<JobId, f64>,
-    current_assignments: BTreeMap<JobId, Vec<u64>>,
+    /// Fresh task starts since the last control tick, folded by the
+    /// engine's own [`fold_starts`].
+    current_starts: Vec<(JobId, MachineId)>,
     intervals: Vec<IntervalSnapshot>,
     energy_series: TimeSeries,
     makespan: Option<SimDuration>,
@@ -46,16 +49,15 @@ pub struct StreamingRunStats {
 }
 
 impl StreamingRunStats {
-    /// Creates a consumer for a fleet of `num_machines` machines (needed to
-    /// size the dense per-machine assignment vectors the same way the
-    /// engine does).
+    /// Creates a consumer for a fleet of `num_machines` machines; every
+    /// task start it sees must name one of them.
     pub fn new(num_machines: usize) -> Self {
         StreamingRunStats {
             num_machines,
             events_seen: 0,
             submitted_at: BTreeMap::new(),
             completions: BTreeMap::new(),
-            current_assignments: BTreeMap::new(),
+            current_starts: Vec::new(),
             intervals: Vec::new(),
             energy_series: TimeSeries::new("cumulative_energy_joules"),
             makespan: None,
@@ -234,11 +236,11 @@ impl StreamingRunStats {
     /// snapshot rule: push only when something was assigned since the last
     /// control tick, or no tick ever fired.
     fn close_partial_interval(&mut self, at: SimTime, cumulative_energy_joules: f64) {
-        if !self.current_assignments.is_empty() || self.intervals.is_empty() {
+        if !self.current_starts.is_empty() || self.intervals.is_empty() {
             self.intervals.push(IntervalSnapshot {
                 at,
                 cumulative_energy_joules,
-                assignments: std::mem::take(&mut self.current_assignments),
+                assignments: fold_starts(&mut self.current_starts),
             });
         }
     }
@@ -264,11 +266,12 @@ impl Observer<SimEvent> for StreamingRunStats {
             } => {
                 // Fresh attempts feed the interval assignment bookkeeping;
                 // speculative clones do not (the engine skips them too).
-                let counts = self
-                    .current_assignments
-                    .entry(task.job)
-                    .or_insert_with(|| vec![0; self.num_machines]);
-                counts[machine.index()] += 1;
+                assert!(
+                    machine.index() < self.num_machines,
+                    "{machine} is outside the {}-machine fleet",
+                    self.num_machines
+                );
+                self.current_starts.push((task.job, *machine));
             }
             SimEvent::TaskCompleted { won: true, .. } => {
                 self.total_tasks += 1;
@@ -301,7 +304,7 @@ impl Observer<SimEvent> for StreamingRunStats {
                 self.intervals.push(IntervalSnapshot {
                     at,
                     cumulative_energy_joules: *cumulative_energy_joules,
-                    assignments: std::mem::take(&mut self.current_assignments),
+                    assignments: fold_starts(&mut self.current_starts),
                 });
             }
             SimEvent::RunFinished {
@@ -326,7 +329,7 @@ impl Observer<SimEvent> for StreamingRunStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cluster::{MachineId, SlotKind};
+    use cluster::SlotKind;
     use workload::{TaskId, TaskIndex};
 
     fn task(job: u64, index: u32) -> TaskId {
@@ -395,7 +398,10 @@ mod tests {
         // One full interval with the assignment, no partial (nothing
         // assigned after the control tick).
         assert_eq!(s.intervals().len(), 1);
-        assert_eq!(s.intervals()[0].assignments[&JobId(0)], vec![0, 1]);
+        assert_eq!(
+            s.intervals()[0].assignments[&JobId(0)],
+            vec![(MachineId(1), 1)]
+        );
     }
 
     #[test]

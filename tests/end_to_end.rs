@@ -61,7 +61,7 @@ fn task_conservation_across_layers() {
         .intervals
         .iter()
         .flat_map(|s| s.assignments.values())
-        .flat_map(|v| v.iter())
+        .flat_map(|row| row.iter().map(|&(_, n)| n))
         .sum();
     assert_eq!(assigned, r.total_tasks);
 }

@@ -11,6 +11,7 @@
 
 use std::collections::BTreeSet;
 
+use cluster::MachineId;
 use eant::EAntConfig;
 use experiments::common::{Scenario, SchedulerKind};
 use hadoop_sim::trace::SharedObserver;
@@ -505,10 +506,18 @@ fn fig8_scenario_file_reproduces_hardcoded_grid() {
 }
 
 /// Reference serializer for [`run_result_json`]: it builds one
-/// [`JsonValue`] node per value and renders the tree. The streaming writer
+/// [`JsonValue`] node per value and renders the tree, expanding each
+/// sparse assignment row into one count per machine. The streaming writer
 /// must match it byte for byte.
 fn oracle_json(run: &RunResult) -> JsonValue {
     let uint = JsonValue::UInt;
+    let dense = |row: &[(MachineId, u64)]| {
+        let mut counts = vec![0; run.machines.len()];
+        for &(machine, n) in row {
+            counts[machine.index()] = n;
+        }
+        JsonValue::Array(counts.into_iter().map(uint).collect())
+    };
     let interval = |snap: &IntervalSnapshot| {
         object([
             ("at", snap.at.to_json()),
@@ -521,12 +530,7 @@ fn oracle_json(run: &RunResult) -> JsonValue {
                 JsonValue::Object(
                     snap.assignments
                         .iter()
-                        .map(|(job, row)| {
-                            (
-                                job.0.to_string(),
-                                JsonValue::Array(row.iter().map(|&n| uint(n)).collect()),
-                            )
-                        })
+                        .map(|(job, row)| (job.0.to_string(), dense(row)))
                         .collect(),
                 ),
             ),
@@ -569,12 +573,12 @@ fn oracle_json(run: &RunResult) -> JsonValue {
 }
 
 /// Hand-built results cover what no library run produces: escaped strings,
-/// non-finite floats, empty intervals and both shapes of `service`.
+/// non-finite floats, empty intervals, extreme job ids and counts, and both
+/// shapes of `service`.
 #[test]
 fn streamed_run_json_matches_tree_oracle() {
     use std::collections::BTreeMap;
 
-    use cluster::MachineId;
     use hadoop_sim::{JobOutcome, JobPhase, MachineOutcome, ServiceStats};
     use simcore::series::TimeSeries;
     use simcore::SimTime;
@@ -620,7 +624,7 @@ fn streamed_run_json_matches_tree_oracle() {
             job(0, awkward, Some(SimTime::from_secs(9)), f64::INFINITY),
             job(1, "", None, 1e300),
         ],
-        machines: vec![machine(0, f64::NAN), machine(1, 2.5)],
+        machines: vec![machine(0, f64::NAN), machine(1, 2.5), machine(2, 0.0)],
         intervals: vec![
             IntervalSnapshot {
                 at: SimTime::from_secs(60),
@@ -631,9 +635,10 @@ fn streamed_run_json_matches_tree_oracle() {
                 at: SimTime::from_secs(120),
                 cumulative_energy_joules: 12.5,
                 assignments: BTreeMap::from([
-                    (JobId(3), vec![1, 0, 2]),
+                    (JobId(3), vec![(MachineId(0), 1), (MachineId(2), 2)]),
                     (JobId(10), vec![]),
-                    (JobId(u64::MAX), vec![u64::MAX]),
+                    (JobId(11), vec![(MachineId(2), 7)]),
+                    (JobId(u64::MAX), vec![(MachineId(0), u64::MAX)]),
                 ]),
             },
         ],

@@ -175,9 +175,9 @@ fn calendar_queue_matches_heap_oracle() {
     });
 }
 
-/// The dense [`TaskArena`] behaves exactly like the per-task `BTreeMap`
-/// registries it replaced — attempt slices in launch order, liveness,
-/// failure counters and id-ordered in-flight iteration — under random
+/// [`TaskArena`] behaves exactly like a per-task `BTreeMap` attempt
+/// registry plus a failure-count map — attempt slices in launch order,
+/// liveness, failure counters and the in-flight listing — under random
 /// interleavings of attempt starts, single completions, failure bumps and
 /// crash-style bulk removals of every attempt on one machine (the
 /// `declare_dead` path).
@@ -189,12 +189,11 @@ fn arena_task_state_matches_per_task_oracle() {
 
     check("arena_task_state_matches_per_task_oracle", 128, |rng| {
         let jobs = rng.uniform_u64(1, 6) as usize;
-        let mut arena = TaskArena::new(true);
+        let mut arena = TaskArena::default();
         let mut tasks: Vec<TaskId> = Vec::new();
         for j in 0..jobs {
             let maps = rng.uniform_u64(1, 8) as u32;
             let reduces = rng.uniform_u64(0, 4) as u32;
-            arena.register_job(maps, reduces);
             for index in 0..maps {
                 tasks.push(TaskId {
                     job: JobId(j as u64),
@@ -215,9 +214,8 @@ fn arena_task_state_matches_per_task_oracle() {
             }
         }
         let machines = 8u64;
-        // The engine structures the arena replaced: an attempt registry
-        // keyed by task with machine-match removal, and a separate
-        // failed-attempt counter map.
+        // The oracle: an attempt registry keyed by task with machine-match
+        // removal, and a separate failed-attempt counter map.
         let mut attempts: BTreeMap<TaskId, Vec<(MachineId, SimTime)>> = BTreeMap::new();
         let mut failures: BTreeMap<TaskId, u32> = BTreeMap::new();
         let mut now = SimTime::ZERO;
@@ -281,13 +279,122 @@ fn arena_task_state_matches_per_task_oracle() {
                 assert_eq!(arena.has_live_attempt(t), !want.is_empty());
                 assert_eq!(arena.failures(t), failures.get(&t).copied().unwrap_or(0));
             }
-            let want_inflight: Vec<TaskId> = attempts.keys().copied().collect();
-            assert_eq!(
-                arena.inflight_tasks().collect::<Vec<_>>(),
-                want_inflight,
-                "in-flight iteration diverged from the BTreeMap key order"
-            );
+            let want_inflight: Vec<(TaskId, &[(MachineId, SimTime)])> = attempts
+                .iter()
+                .map(|(&t, list)| (t, list.as_slice()))
+                .collect();
+            let mut listed: Vec<(TaskId, &[(MachineId, SimTime)])> = arena.inflight().collect();
+            listed.sort();
+            assert_eq!(listed, want_inflight, "in-flight listing diverged");
         }
+    });
+}
+
+/// [`hadoop_sim::fold_starts`] keeps exactly the nonzero cells of the dense
+/// per-job, per-machine count rows the engine used to accumulate, in
+/// ascending machine order, and a result built from the sparse rows renders
+/// byte for byte as the dense rows did. Random fleets and start logs cover
+/// repeated pairs, the first and last machine, many jobs, a log reused
+/// across intervals and intervals with no start at all.
+#[test]
+fn interval_rows_match_dense_oracle() {
+    use hadoop_sim::{fold_starts, IntervalSnapshot, MachineOutcome, RunResult};
+    use metrics::emit::{run_result_json, JsonValue, ToJson};
+    use simcore::series::TimeSeries;
+    use simcore::SimDuration;
+
+    check("interval_rows_match_dense_oracle", 128, |rng| {
+        let machines = rng.uniform_u64(1, 40) as usize;
+        let jobs = rng.uniform_u64(1, 60);
+        let mut log: Vec<(JobId, MachineId)> = Vec::new();
+        let mut intervals = Vec::new();
+        let mut rendered = Vec::new();
+        for i in 0..rng.uniform_u64(1, 6) {
+            let starts = if rng.chance(0.2) {
+                0
+            } else {
+                rng.uniform_u64(1, 300)
+            };
+            // The oracle: the dense row accumulation the engine replaced.
+            let mut dense: BTreeMap<JobId, Vec<u64>> = BTreeMap::new();
+            for _ in 0..starts {
+                let job = JobId(rng.uniform_u64(0, jobs - 1));
+                let machine = MachineId(match rng.uniform_u64(0, 3) {
+                    0 => 0,
+                    1 => machines - 1,
+                    _ => rng.uniform_u64(0, machines as u64 - 1) as usize,
+                });
+                log.push((job, machine));
+                dense.entry(job).or_insert_with(|| vec![0; machines])[machine.index()] += 1;
+            }
+            let rows = fold_starts(&mut log);
+            assert!(log.is_empty(), "the fold must empty the start log");
+            let want: BTreeMap<JobId, Vec<(MachineId, u64)>> = dense
+                .iter()
+                .map(|(&job, row)| {
+                    let cells = row.iter().enumerate().filter(|&(_, &n)| n > 0);
+                    (job, cells.map(|(m, &n)| (MachineId(m), n)).collect())
+                })
+                .collect();
+            assert_eq!(rows, want, "interval {i}");
+
+            let at = SimTime::from_secs(300 * (i + 1));
+            let energy = rng.uniform_range(0.0, 1.0e9);
+            let dense_rows: Vec<String> = dense
+                .iter()
+                .map(|(job, row)| {
+                    let counts: Vec<String> = row.iter().map(u64::to_string).collect();
+                    format!(r#""{}":[{}]"#, job.0, counts.join(","))
+                })
+                .collect();
+            rendered.push(format!(
+                r#"{{"at":{},"cumulative_energy_joules":{},"assignments":{{{}}}}}"#,
+                at.to_json().render(),
+                JsonValue::Num(energy).render(),
+                dense_rows.join(",")
+            ));
+            intervals.push(IntervalSnapshot {
+                at,
+                cumulative_energy_joules: energy,
+                assignments: rows,
+            });
+        }
+        let run = RunResult {
+            scheduler: "oracle".into(),
+            makespan: SimDuration::from_secs(1),
+            drained: true,
+            groups: Vec::new(),
+            jobs: Vec::new(),
+            machines: (0..machines)
+                .map(|m| MachineOutcome {
+                    machine: MachineId(m),
+                    profile: "Atom".into(),
+                    energy_joules: 0.0,
+                    idle_joules: 0.0,
+                    workload_joules: 0.0,
+                    mean_utilization: 0.0,
+                    map_tasks: 0,
+                    reduce_tasks: 0,
+                    tasks_by_benchmark: BTreeMap::new(),
+                })
+                .collect(),
+            intervals,
+            energy_series: TimeSeries::new("energy"),
+            total_tasks: 0,
+            speculative_attempts: 0,
+            wasted_attempts: 0,
+            task_failures: 0,
+            machine_failures: 0,
+            map_outputs_lost: 0,
+            machines_blacklisted: 0,
+            service: None,
+        };
+        let json = run_result_json(&run);
+        let want = format!(r#""intervals":[{}],"energy_series""#, rendered.join(","));
+        assert!(
+            json.contains(&want),
+            "sparse rows render differently from the dense rows:\n{json}\nwant {want}"
+        );
     });
 }
 
