@@ -325,3 +325,99 @@ fn series_key(counter: &JsonValue) -> String {
     }
     key
 }
+
+/// Tool output pinned byte for byte: `--replay`, `watch` (default frames
+/// and one frame a minute) and `explain` on a clean, a decision-traced, a
+/// faulted (crashes, retries, blacklisting) and a power-down trace, plus
+/// `explain` on a postmortem bundle and the `timeline` experiment. Temp
+/// paths are replaced by a placeholder before hashing. A refactor of the
+/// trace tools must leave every digest unchanged.
+#[test]
+fn trace_tool_outputs_are_pinned() {
+    use experiments::{explain, timeline, watch};
+    use hadoop_sim::PowerDownConfig;
+    use simcore::fnv1a_64;
+
+    const PINNED: &str = "
+clean replay d184f6db3fa3b887
+clean watch f705c32c1703df7e
+clean watch-60 539bdafef9eacdf7
+clean explain bef2de2d716da8af
+decisions replay d4e70521400922b3
+decisions watch 4cfb438505564db3
+decisions watch-60 efd99935b231dcaa
+decisions explain 98a889106bf56c93
+faulted replay 7fd009b7bc5e11e7
+faulted watch 32d5f853f2d7e2cc
+faulted watch-60 171a72f9ee29da60
+faulted explain 8db6d857df089f5b
+power-down replay 5fc1d48610e919dc
+power-down watch 76508d4b33cc8521
+power-down watch-60 de7e5aaa044a9e3a
+power-down explain 0d3103aff07c1ac2
+bundle explain 4982a702d61bcf8d
+fast timeline cf5512e57b7b04bf
+";
+
+    let mut decisions = small_scenario(11);
+    decisions.engine.trace_decisions = true;
+    let mut faulted = small_scenario(11);
+    faulted.engine.fault = FaultConfig {
+        crash_mtbf: SimDuration::from_mins(30),
+        crash_downtime: SimDuration::from_mins(1),
+        task_failure_prob: 0.05,
+        blacklist_threshold: 3,
+        ..FaultConfig::none()
+    };
+    let mut powered = small_scenario(11);
+    powered.engine.power_down = Some(PowerDownConfig::suspend_to_ram());
+    // Sparse arrivals leave the idle gaps the power-down policy needs.
+    powered.msd.submission_window = SimDuration::from_mins(60);
+    // Each trace must carry the events its case is there to exercise.
+    let traces = [
+        ("clean", Scenario::fast(2015), "\"run_finished\""),
+        ("decisions", decisions, "\"assignment_decision\""),
+        ("faulted", faulted, "\"machine_blacklisted\""),
+        ("power-down", powered, "\"standby\""),
+    ];
+
+    let mut digests = Vec::new();
+    let mut pin = |label: &str, out: String| {
+        digests.push(format!("{label} {:016x}", fnv1a_64(out.as_bytes())));
+    };
+    for (name, scenario, needle) in traces {
+        let path = tmp(&format!("pinned-{name}"));
+        write_scenario_trace(&scenario, &path);
+        let text = std::fs::read_to_string(&path).unwrap();
+        assert!(text.contains(needle), "{name} trace lacks {needle}");
+        let shown = path.display().to_string();
+        let scrub = |out: Result<String, String>| out.unwrap().replace(&shown, "<path>");
+        pin(&format!("{name} replay"), scrub(timeline::replay(&path)));
+        pin(&format!("{name} watch"), scrub(watch::run(&path, 0.0)));
+        pin(&format!("{name} watch-60"), scrub(watch::run(&path, 60.0)));
+        pin(&format!("{name} explain"), scrub(explain::run(&path)));
+        std::fs::remove_file(path).ok();
+    }
+
+    let spec = slo_spec();
+    let eant = spec
+        .schedulers
+        .iter()
+        .find(|k| k.label() == "E-Ant")
+        .expect("slo scenario compares E-Ant");
+    let bundle = run_monitored(&spec, eant, spec.seeds[0], true)
+        .postmortem
+        .expect("E-Ant breaches the overload SLO");
+    let root = std::env::temp_dir().join(format!("eant-pinned-bundle-{}", std::process::id()));
+    let dir = bundle.write_to(&root).unwrap();
+    let report = explain::run(&dir).unwrap();
+    pin(
+        "bundle explain",
+        report.replace(&dir.display().to_string(), "<path>"),
+    );
+    std::fs::remove_dir_all(&root).ok();
+
+    pin("fast timeline", timeline::run(true));
+
+    assert_eq!(digests.join("\n"), PINNED.trim(), "tool output moved");
+}
