@@ -28,60 +28,60 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::Path;
 
-use cluster::SlotKind;
+use cluster::{MachineId, SlotKind};
 use hadoop_sim::SimEvent;
 use metrics::emit::JsonValue;
 use metrics::registry::SeriesSnapshot;
-use metrics::trace::read_trace_lines;
 use simcore::SimTime;
 use workload::JobId;
 
 use crate::timeline::decision_breakdown;
+use crate::view::{load_trace, ClusterView, MachineRow, TraceLine};
 
-/// Per-job lifecycle facts folded from the event stream.
+/// Per-job critical-path timestamps folded from the event stream.
 #[derive(Debug, Default, Clone)]
 struct JobLife {
-    submitted: Option<SimTime>,
-    completed: Option<SimTime>,
+    /// Completion time and sojourn, when the submission is in the stream.
+    completed: Option<(SimTime, f64)>,
     first_start: Option<SimTime>,
+    /// Queue wait before the first start, when the submission is in the
+    /// stream.
+    first_wait_s: Option<f64>,
     last_map_done: Option<SimTime>,
     first_reduce_start: Option<SimTime>,
     /// Machines that started this job's reduce attempts.
     reduce_machines: Vec<usize>,
 }
 
-/// Everything `explain` folds out of one event stream.
+/// What `explain` folds out of one event stream beyond the shared
+/// [`ClusterView`].
 #[derive(Debug)]
 struct Analysis {
+    view: ClusterView,
     start: SimTime,
     end: SimTime,
     num_events: usize,
-    /// Machine → (map capacity, reduce capacity), from occupancy events.
-    caps: BTreeMap<usize, (u32, u32)>,
-    /// Machine → integrated busy slot-seconds (both kinds).
-    busy: BTreeMap<usize, f64>,
     /// Machine → tasks started / reduce tasks started.
     started: BTreeMap<usize, u64>,
     reduce_started: BTreeMap<usize, u64>,
     /// Machine → summed task queue wait (start − job submit), seconds.
     wait_s: BTreeMap<usize, f64>,
     jobs: BTreeMap<JobId, JobLife>,
-    /// Total energy: the `run_finished` footer, else the last control tick.
+    /// Total energy: the view's meter, else the bundle's telemetry.
     total_energy_j: Option<f64>,
     /// Reduce decisions: (machine, chosen τ, mean τ of the alternatives).
     reduce_decisions: Vec<(usize, Option<f64>, Option<f64>)>,
 }
 
 impl Analysis {
-    fn fold(events: &[(SimTime, SimEvent)]) -> Analysis {
-        let start = events.first().map_or(SimTime::ZERO, |&(at, _)| at);
-        let end = events.last().map_or(SimTime::ZERO, |&(at, _)| at);
+    fn fold(events: &[TraceLine]) -> Analysis {
+        let start = events.first().map_or(SimTime::ZERO, |&(_, at, _)| at);
+        let end = events.last().map_or(SimTime::ZERO, |&(_, at, _)| at);
         let mut a = Analysis {
+            view: ClusterView::default(),
             start,
             end,
             num_events: events.len(),
-            caps: BTreeMap::new(),
-            busy: BTreeMap::new(),
             started: BTreeMap::new(),
             reduce_started: BTreeMap::new(),
             wait_s: BTreeMap::new(),
@@ -89,27 +89,29 @@ impl Analysis {
             total_energy_j: None,
             reduce_decisions: Vec::new(),
         };
-        // (machine, kind) → (occupied, since) for busy-time integration.
-        let mut occupancy: BTreeMap<(usize, bool), (u32, SimTime)> = BTreeMap::new();
-        for &(at, ref event) in events {
+        for &(_, at, ref event) in events {
+            let sojourn = a.view.apply(at, event);
             match event {
-                SimEvent::JobSubmitted { job, .. } => {
-                    a.jobs.entry(*job).or_default().submitted = Some(at);
-                }
                 SimEvent::JobCompleted { job } => {
-                    a.jobs.entry(*job).or_default().completed = Some(at);
+                    if let Some(sojourn) = sojourn {
+                        a.jobs.entry(*job).or_default().completed = Some((at, sojourn));
+                    }
                 }
                 SimEvent::TaskStarted { task, machine, .. } => {
                     let m = machine.index();
                     *a.started.entry(m).or_insert(0) += 1;
+                    let submitted = a.view.submits.get(&task.job).copied();
                     let life = a.jobs.entry(task.job).or_default();
-                    life.first_start.get_or_insert(at);
+                    if life.first_start.is_none() {
+                        life.first_start = Some(at);
+                        life.first_wait_s = submitted.map(|sub| (at - sub).as_secs_f64());
+                    }
                     if task.task.kind == SlotKind::Reduce {
                         *a.reduce_started.entry(m).or_insert(0) += 1;
                         life.first_reduce_start.get_or_insert(at);
                         life.reduce_machines.push(m);
                     }
-                    if let Some(sub) = life.submitted {
+                    if let Some(sub) = submitted {
                         *a.wait_s.entry(m).or_insert(0.0) += (at - sub).as_secs_f64();
                     }
                 }
@@ -118,30 +120,6 @@ impl Analysis {
                 {
                     a.jobs.entry(task.job).or_default().last_map_done = Some(at);
                 }
-                SimEvent::SlotOccupancyChanged {
-                    machine,
-                    kind,
-                    occupied,
-                    capacity,
-                } => {
-                    let m = machine.index();
-                    let caps = a.caps.entry(m).or_insert((0, 0));
-                    match kind {
-                        SlotKind::Map => caps.0 = *capacity,
-                        SlotKind::Reduce => caps.1 = *capacity,
-                    }
-                    let key = (m, *kind == SlotKind::Map);
-                    let (prev, since) = occupancy.insert(key, (*occupied, at)).unwrap_or((0, at));
-                    *a.busy.entry(m).or_insert(0.0) += f64::from(prev) * (at - since).as_secs_f64();
-                }
-                SimEvent::ControlIntervalFired {
-                    cumulative_energy_joules,
-                    ..
-                } => a.total_energy_j = Some(*cumulative_energy_joules),
-                SimEvent::RunFinished {
-                    total_energy_joules,
-                    ..
-                } => a.total_energy_j = Some(*total_energy_joules),
                 SimEvent::AssignmentDecision {
                     machine,
                     kind: SlotKind::Reduce,
@@ -168,27 +146,39 @@ impl Analysis {
                 _ => {}
             }
         }
-        // Flush open occupancy intervals to the end of the stream.
-        for ((m, _), (occupied, since)) in occupancy {
-            *a.busy.entry(m).or_insert(0.0) += f64::from(occupied) * (end - since).as_secs_f64();
-        }
+        a.total_energy_j = a.view.metered_joules;
         a
+    }
+
+    /// A machine's view row, once an occupancy event has reported its
+    /// slot capacities.
+    fn reported(&self, machine: usize) -> Option<&MachineRow> {
+        self.view
+            .machines
+            .get(&MachineId(machine))
+            .filter(|row| row.slots_reported)
     }
 
     /// Group label of a machine: its slot signature, the only hardware
     /// identity an event stream carries.
     fn group_of(&self, machine: usize) -> String {
-        match self.caps.get(&machine) {
-            Some(&(m, r)) => format!("{m}m/{r}r"),
+        match self.reported(machine) {
+            Some(row) => format!("{}m/{}r", row.map.capacity, row.reduce.capacity),
             None => "?".to_owned(),
         }
     }
 
     /// Machines per group, keyed by group label.
     fn groups(&self) -> BTreeMap<String, Vec<usize>> {
-        let mut machines: Vec<usize> = self.caps.keys().copied().collect();
+        let mut machines: Vec<usize> = self
+            .view
+            .machines
+            .iter()
+            .filter(|(_, row)| row.slots_reported)
+            .map(|(m, _)| m.index())
+            .collect();
         for &m in self.started.keys() {
-            if !self.caps.contains_key(&m) {
+            if self.reported(m).is_none() {
                 machines.push(m);
             }
         }
@@ -204,27 +194,17 @@ impl Analysis {
         let mut out: Vec<(JobId, f64)> = self
             .jobs
             .iter()
-            .filter_map(|(&job, life)| {
-                let (sub, done) = (life.submitted?, life.completed?);
-                Some((job, (done - sub).as_secs_f64()))
-            })
+            .filter_map(|(&job, life)| Some((job, life.completed?.1)))
             .collect();
         out.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
         out
     }
 }
 
-fn sum_map(m: &BTreeMap<usize, u64>, machines: &[usize]) -> u64 {
+fn sum_map<T: Copy + Default + std::iter::Sum>(m: &BTreeMap<usize, T>, machines: &[usize]) -> T {
     machines
         .iter()
-        .map(|m2| m.get(m2).copied().unwrap_or(0))
-        .sum()
-}
-
-fn sum_map_f(m: &BTreeMap<usize, f64>, machines: &[usize]) -> f64 {
-    machines
-        .iter()
-        .map(|m2| m.get(m2).copied().unwrap_or(0.0))
+        .map(|m2| m.get(m2).copied().unwrap_or_default())
         .sum()
 }
 
@@ -235,7 +215,13 @@ fn group_table(a: &Analysis) -> String {
     if groups.is_empty() {
         return "machine groups: no machine activity in the event window\n".to_owned();
     }
-    let total_busy: f64 = a.busy.values().sum();
+    let total_busy: f64 = a
+        .view
+        .machines
+        .values()
+        .filter(|row| row.slots_reported)
+        .map(|row| row.busy_slot_seconds(a.end))
+        .sum();
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -248,7 +234,13 @@ fn group_table(a: &Analysis) -> String {
         "group", "machines", "busy sh %", "energy MJ", "tasks", "reduces", "wait sum h"
     );
     for (label, machines) in &groups {
-        let busy = sum_map_f(&a.busy, machines);
+        let busy: f64 = machines
+            .iter()
+            .map(|&m| {
+                a.reported(m)
+                    .map_or(0.0, |row| row.busy_slot_seconds(a.end))
+            })
+            .sum();
         let share = if total_busy > 0.0 {
             busy / total_busy
         } else {
@@ -264,7 +256,7 @@ fn group_table(a: &Analysis) -> String {
             energy.map_or("-".to_owned(), |e| format!("{:.3}", e / 1e6)),
             sum_map(&a.started, machines),
             sum_map(&a.reduce_started, machines),
-            sum_map_f(&a.wait_s, machines) / 3600.0,
+            sum_map(&a.wait_s, machines) / 3600.0,
         );
     }
     out
@@ -312,10 +304,10 @@ fn tail_table(a: &Analysis) -> (String, Vec<JobId>) {
     );
     for &(job, sojourn) in &tail {
         let life = &a.jobs[&job];
-        let (Some(sub), Some(done)) = (life.submitted, life.completed) else {
+        let Some((done, _)) = life.completed else {
             continue;
         };
-        let wait = life.first_start.map(|t| (t - sub).as_secs_f64());
+        let wait = life.first_wait_s;
         let map_span = match (life.first_start, life.last_map_done) {
             (Some(s), Some(e)) => Some((e - s).as_secs_f64()),
             _ => None,
@@ -547,23 +539,12 @@ pub fn run(path: &Path) -> Result<String, String> {
         }
         return explain_bundle(path);
     }
-    let events = load_events(path)?;
+    let events = load_trace(path)?;
     Ok(render(Analysis::fold(&events), None, &events))
 }
 
-fn load_events(path: &Path) -> Result<Vec<(SimTime, SimEvent)>, String> {
-    let file =
-        std::fs::File::open(path).map_err(|e| format!("cannot open {}: {e}", path.display()))?;
-    let parsed = read_trace_lines(std::io::BufReader::new(file))
-        .map_err(|e| format!("{}: {e}", path.display()))?;
-    if parsed.is_empty() {
-        return Err(format!("{}: event stream is empty", path.display()));
-    }
-    Ok(parsed.into_iter().map(|(_, at, e)| (at, e)).collect())
-}
-
 fn explain_bundle(dir: &Path) -> Result<String, String> {
-    let events = load_events(&dir.join("events.jsonl"))?;
+    let events = load_trace(&dir.join("events.jsonl"))?;
     let breach_path = dir.join("breach.json");
     let breach = std::fs::read_to_string(&breach_path)
         .map_err(|e| format!("cannot read {}: {e}", breach_path.display()))
@@ -585,7 +566,7 @@ fn explain_bundle(dir: &Path) -> Result<String, String> {
     Ok(render(a, Some(header), &events))
 }
 
-fn render(a: Analysis, header: Option<String>, events: &[(SimTime, SimEvent)]) -> String {
+fn render(a: Analysis, header: Option<String>, events: &[TraceLine]) -> String {
     let mut out = String::new();
     if let Some(h) = &header {
         out.push_str(h);
@@ -608,7 +589,11 @@ fn render(a: Analysis, header: Option<String>, events: &[(SimTime, SimEvent)]) -
         out.push_str(&reinforcement);
         out.push('\n');
     }
-    let breakdown = decision_breakdown(events, SlotKind::Reduce, 3);
+    let breakdown = decision_breakdown(
+        events.iter().map(|(_, at, event)| (*at, event)),
+        SlotKind::Reduce,
+        3,
+    );
     if !breakdown.is_empty() {
         out.push_str(&breakdown);
         out.push('\n');
@@ -680,6 +665,15 @@ mod tests {
         let path = dir.join("empty.jsonl");
         std::fs::write(&path, "").unwrap();
         assert!(run(&path).is_err());
+        // A huge machine id is one machine, not a fleet to allocate.
+        std::fs::write(
+            &path,
+            "{\"at\":0,\"type\":\"slot_occupancy_changed\",\"machine\":1000000000000,\
+             \"kind\":\"map\",\"occupied\":1,\"capacity\":2}\n",
+        )
+        .unwrap();
+        let report = run(&path).unwrap();
+        assert!(report.contains("2m/0r"), "{report}");
         std::fs::remove_dir_all(&dir).ok();
     }
 }

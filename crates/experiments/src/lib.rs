@@ -27,6 +27,7 @@
 //! | [`timeline`] | cluster load over time (saturation diagnostic) + `--trace`/`--replay` |
 //! | [`tracediff`] | `trace-diff`: first divergence + per-type deltas between two traces |
 //! | [`watch`] | `watch`: text dashboard replayed from a trace file |
+//! | [`view`] | the trace tools' shared trace loader and `ClusterView` fold |
 
 #![warn(missing_docs)]
 
@@ -51,6 +52,7 @@ pub mod slo;
 pub mod tables;
 pub mod timeline;
 pub mod tracediff;
+pub mod view;
 pub mod watch;
 
 /// All experiment ids: the paper's tables/figures in paper order, then the

@@ -153,7 +153,8 @@ impl PostmortemBundle {
         events: Vec<(SimTime, SimEvent)>,
         series: &SeriesSnapshot,
     ) -> Self {
-        let decisions = decision_breakdown(&events, SlotKind::Reduce, 5);
+        let decisions =
+            decision_breakdown(events.iter().map(|(at, e)| (*at, e)), SlotKind::Reduce, 5);
         PostmortemBundle {
             scenario: spec.name.clone(),
             scheduler: kind.label().to_owned(),

@@ -16,14 +16,15 @@ use std::path::{Path, PathBuf};
 use cluster::{Fleet, SlotKind};
 use eant::EAntConfig;
 use hadoop_sim::trace::{Observer, SharedObserver};
-use hadoop_sim::{FaultConfig, PowerState, RunResult, SimEvent};
+use hadoop_sim::{FaultConfig, RunResult, SimEvent};
 use metrics::observers::StreamingRunStats;
 use metrics::registry::RegistryObserver;
 use metrics::report::Table;
-use metrics::trace::{read_trace_lines, JsonlTraceSink};
+use metrics::trace::JsonlTraceSink;
 use simcore::SimTime;
 
 use crate::common::{Scenario, SchedulerKind};
+use crate::view::{load_trace, ClusterView};
 
 /// One load sample, taken at each `HeartbeatDrained` event.
 #[derive(Debug, Clone, Copy)]
@@ -36,40 +37,16 @@ struct LoadSample {
     standby: u64,
 }
 
-/// An [`Observer`] that samples cluster-wide load at heartbeat granularity:
-/// busy slots per kind (from `SlotOccupancyChanged`), queue depth (from
-/// `HeartbeatDrained`), active jobs and standby machine count.
-#[derive(Debug)]
+/// An [`Observer`] that samples cluster-wide load at each heartbeat: busy
+/// slots per kind, queue depth, active jobs and standby machines, all read
+/// from the [`ClusterView`] it folds.
+#[derive(Debug, Default)]
 pub struct TimelineRecorder {
-    occupied_map: Vec<u64>,
-    occupied_reduce: Vec<u64>,
-    standby: Vec<bool>,
-    active_jobs: u64,
+    view: ClusterView,
     samples: Vec<LoadSample>,
 }
 
 impl TimelineRecorder {
-    /// Creates a recorder for a fleet of `num_machines` machines.
-    pub fn new(num_machines: usize) -> Self {
-        TimelineRecorder {
-            occupied_map: vec![0; num_machines],
-            occupied_reduce: vec![0; num_machines],
-            standby: vec![false; num_machines],
-            active_jobs: 0,
-            samples: Vec::new(),
-        }
-    }
-
-    /// Number of samples taken so far.
-    pub fn len(&self) -> usize {
-        self.samples.len()
-    }
-
-    /// Whether no sample was taken.
-    pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
-    }
-
     /// Renders the recorded samples as a bucketed table: `buckets` rows
     /// covering `[0, makespan]`, each averaging the samples in its window.
     pub fn render(&self, title: &str, buckets: usize) -> String {
@@ -139,41 +116,16 @@ impl TimelineRecorder {
 
 impl Observer<SimEvent> for TimelineRecorder {
     fn on_event(&mut self, at: SimTime, event: &SimEvent) {
-        match event {
-            SimEvent::JobSubmitted { .. } => self.active_jobs += 1,
-            SimEvent::JobCompleted { .. } => {
-                self.active_jobs = self.active_jobs.saturating_sub(1);
-            }
-            SimEvent::SlotOccupancyChanged {
-                machine,
-                kind,
-                occupied,
-                ..
-            } => {
-                let column = match kind {
-                    cluster::SlotKind::Map => &mut self.occupied_map,
-                    cluster::SlotKind::Reduce => &mut self.occupied_reduce,
-                };
-                if let Some(slot) = column.get_mut(machine.index()) {
-                    *slot = u64::from(*occupied);
-                }
-            }
-            SimEvent::PowerStateChanged { machine, state } => {
-                if let Some(flag) = self.standby.get_mut(machine.index()) {
-                    *flag = matches!(state, PowerState::Standby | PowerState::Waking);
-                }
-            }
-            SimEvent::HeartbeatDrained { pending_total, .. } => {
-                self.samples.push(LoadSample {
-                    at,
-                    busy_map: self.occupied_map.iter().sum(),
-                    busy_reduce: self.occupied_reduce.iter().sum(),
-                    pending: *pending_total,
-                    active_jobs: self.active_jobs,
-                    standby: self.standby.iter().filter(|&&s| s).count() as u64,
-                });
-            }
-            _ => {}
+        self.view.on_event(at, event);
+        if let SimEvent::HeartbeatDrained { .. } = event {
+            self.samples.push(LoadSample {
+                at,
+                busy_map: self.view.busy_map,
+                busy_reduce: self.view.busy_reduce,
+                pending: self.view.queue_depth,
+                active_jobs: self.view.active_jobs,
+                standby: self.view.standby,
+            });
         }
     }
 }
@@ -184,8 +136,7 @@ fn record_timeline(
     scenario: &Scenario,
     kind: &SchedulerKind,
 ) -> (SharedObserver<TimelineRecorder>, RunResult) {
-    let fleet = Fleet::paper_evaluation();
-    let recorder = SharedObserver::new(TimelineRecorder::new(fleet.len()));
+    let recorder = SharedObserver::new(TimelineRecorder::default());
     let handle = recorder.clone();
     let result = scenario.run_observed(kind, move |engine, _| {
         engine.attach_observer(Box::new(handle));
@@ -385,43 +336,22 @@ pub fn write_trace_with(opts: TraceOptions, path: &Path) -> Result<String, Strin
 ///
 /// Returns the first malformed line or aggregate mismatch.
 pub fn replay(path: &Path) -> Result<String, String> {
-    let file =
-        std::fs::File::open(path).map_err(|e| format!("cannot open {}: {e}", path.display()))?;
-    let parsed = read_trace_lines(std::io::BufReader::new(file))?;
-    let mut events = Vec::with_capacity(parsed.len());
-    let mut last_at = SimTime::ZERO;
+    let events = load_trace(path)?;
     let mut num_machines = 0usize;
-    for (n, at, event) in parsed {
-        if at < last_at {
-            return Err(format!("line {n}: timestamp moved backwards"));
+    for (n, _, event) in &events {
+        if let Some(machine) = event.machine() {
+            let bound = machine.index().checked_add(1).ok_or_else(|| {
+                format!("{}: line {n}: {machine} is out of range", path.display())
+            })?;
+            num_machines = num_machines.max(bound);
         }
-        last_at = at;
-        if let SimEvent::TaskStarted { machine, .. }
-        | SimEvent::TaskCompleted { machine, .. }
-        | SimEvent::TaskFailed { machine, .. }
-        | SimEvent::HeartbeatDrained { machine, .. }
-        | SimEvent::SlotOccupancyChanged { machine, .. }
-        | SimEvent::PowerStateChanged { machine, .. }
-        | SimEvent::SpeculationLaunched { machine, .. }
-        | SimEvent::MachineFailed { machine, .. }
-        | SimEvent::MachineRecovered { machine, .. }
-        | SimEvent::MapOutputLost { machine, .. }
-        | SimEvent::MachineBlacklisted { machine, .. }
-        | SimEvent::AssignmentDecision { machine, .. } = &event
-        {
-            num_machines = num_machines.max(machine.index() + 1);
-        }
-        events.push((at, event));
     }
-    if events.is_empty() {
-        return Err("trace is empty".to_owned());
-    }
-
     let mut stats = StreamingRunStats::new(num_machines);
-    for (at, event) in &events {
+    for (_, at, event) in &events {
         stats.on_event(*at, event);
     }
     let Some((
+        _,
         at,
         SimEvent::RunFinished {
             drained,
@@ -459,7 +389,11 @@ pub fn replay(path: &Path) -> Result<String, String> {
         total_energy_joules / 1e6,
         drained,
     );
-    let breakdown = decision_breakdown(&events, SlotKind::Reduce, 3);
+    let breakdown = decision_breakdown(
+        events.iter().map(|(_, at, event)| (*at, event)),
+        SlotKind::Reduce,
+        3,
+    );
     if !breakdown.is_empty() {
         out.push_str("\n\n");
         out.push_str(&breakdown);
@@ -472,16 +406,20 @@ pub fn replay(path: &Path) -> Result<String, String> {
 /// reduce tail: the placements that decide where the final waves land and
 /// therefore when the run ends. Empty when the trace carries no decision
 /// events (decision tracing was off).
-pub fn decision_breakdown(events: &[(SimTime, SimEvent)], kind: SlotKind, last_n: usize) -> String {
+pub fn decision_breakdown<'a>(
+    events: impl IntoIterator<Item = (SimTime, &'a SimEvent)>,
+    kind: SlotKind,
+    last_n: usize,
+) -> String {
     let decisions: Vec<_> = events
-        .iter()
+        .into_iter()
         .filter_map(|(at, e)| match e {
             SimEvent::AssignmentDecision {
                 machine,
                 kind: k,
                 chosen,
                 candidates,
-            } if *k == kind => Some((*at, *machine, *chosen, candidates)),
+            } if *k == kind => Some((at, *machine, *chosen, candidates)),
             _ => None,
         })
         .collect();
@@ -564,10 +502,31 @@ mod tests {
         let dir = std::env::temp_dir().join("eant-trace-test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join(format!("garbage-{}.jsonl", std::process::id()));
-        std::fs::write(&path, "not json\n").unwrap();
-        assert!(replay(&path).is_err());
-        std::fs::write(&path, "").unwrap();
-        assert!(replay(&path).is_err());
+        for (text, expect) in [
+            ("not json\n", "line 1: "),
+            ("", "trace is empty"),
+            (
+                "{\"at\":5,\"type\":\"job_completed\",\"job\":1}\n\
+                 {\"at\":4,\"type\":\"job_completed\",\"job\":2}\n",
+                "line 2: timestamp moved backwards",
+            ),
+            // A huge machine id is one machine, not a fleet to allocate.
+            (
+                "{\"at\":0,\"type\":\"slot_occupancy_changed\",\"machine\":1000000000000,\
+                 \"kind\":\"map\",\"occupied\":1,\"capacity\":2}\n",
+                "run_finished footer",
+            ),
+            // The largest id has no fleet size that contains it.
+            (
+                "{\"at\":0,\"type\":\"task_started\",\"task\":{\"job\":0,\"kind\":\"map\",\
+                 \"index\":0},\"machine\":18446744073709551615,\"speculative\":false}\n",
+                "line 1: m18446744073709551615 is out of range",
+            ),
+        ] {
+            std::fs::write(&path, text).unwrap();
+            let err = replay(&path).unwrap_err();
+            assert!(err.contains(expect), "{err}");
+        }
         std::fs::remove_file(&path).ok();
     }
 }

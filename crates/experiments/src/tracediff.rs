@@ -8,21 +8,12 @@
 //! (traces identical ⇒ behavior identical, by the golden-digest argument).
 
 use std::collections::BTreeMap;
-use std::io::BufReader;
 use std::path::Path;
 
-use hadoop_sim::SimEvent;
-use metrics::trace::{read_trace_lines, trace_line};
+use metrics::trace::trace_line;
 use simcore::SimTime;
 
-/// One side of the diff: parsed events plus their original line numbers.
-type Side = Vec<(usize, SimTime, SimEvent)>;
-
-fn load(path: &Path) -> Result<Side, String> {
-    let file =
-        std::fs::File::open(path).map_err(|e| format!("cannot open {}: {e}", path.display()))?;
-    read_trace_lines(BufReader::new(file)).map_err(|e| format!("{}: {e}", path.display()))
-}
+use crate::view::{load_trace, TraceLine};
 
 /// Per-event-type aggregate of one trace: occurrence count and the
 /// timestamp of the last occurrence.
@@ -32,7 +23,7 @@ struct KindStats {
     last_at: SimTime,
 }
 
-fn kind_stats(events: &Side) -> BTreeMap<&'static str, KindStats> {
+fn kind_stats(events: &[TraceLine]) -> BTreeMap<&'static str, KindStats> {
     let mut out: BTreeMap<&'static str, KindStats> = BTreeMap::new();
     for (_, at, event) in events {
         let s = out.entry(event.kind()).or_default();
@@ -51,10 +42,10 @@ fn kind_stats(events: &Side) -> BTreeMap<&'static str, KindStats> {
 ///
 /// # Errors
 ///
-/// Returns I/O or parse errors (with line numbers) from either trace.
+/// Returns [`load_trace`] errors from either trace.
 pub fn run(path_a: &Path, path_b: &Path, kind_filter: Option<&str>) -> Result<String, String> {
-    let mut a = load(path_a)?;
-    let mut b = load(path_b)?;
+    let mut a = load_trace(path_a)?;
+    let mut b = load_trace(path_b)?;
     if let Some(kind) = kind_filter {
         a.retain(|(_, _, e)| e.kind() == kind);
         b.retain(|(_, _, e)| e.kind() == kind);

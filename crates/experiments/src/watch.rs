@@ -8,50 +8,17 @@
 //! replays in milliseconds anyway).
 
 use std::collections::{BTreeMap, VecDeque};
-use std::io::BufReader;
 use std::path::Path;
 
-use cluster::SlotKind;
 use hadoop_sim::{PowerState, SimEvent};
 use metrics::registry::SeriesSnapshot;
-use metrics::trace::read_trace_lines;
 use simcore::SimTime;
 
 use crate::timeline::telemetry_series_path;
+use crate::view::{load_trace, ClusterView, Health, MachineRow};
 
-/// Machine availability as seen from the fault events.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Health {
-    Up,
-    Dead,
-    Blacklisted,
-}
-
-/// Per-machine dashboard row state.
-#[derive(Debug, Clone)]
-struct MachineRow {
-    used_map: u32,
-    cap_map: u32,
-    used_reduce: u32,
-    cap_reduce: u32,
-    power: PowerState,
-    health: Health,
-}
-
-impl MachineRow {
-    fn new() -> Self {
-        MachineRow {
-            used_map: 0,
-            cap_map: 0,
-            used_reduce: 0,
-            cap_reduce: 0,
-            power: PowerState::Nominal,
-            health: Health::Up,
-        }
-    }
-}
-
-/// The dashboard fold: cluster state reconstructed from the event stream.
+/// The dashboard: a [`ClusterView`] plus the rolling windows behind the
+/// arrival-rate and sojourn readouts.
 ///
 /// Per-machine energy is not part of the event vocabulary (the trace
 /// carries only the fleet-cumulative meter on `control_interval_fired`),
@@ -59,13 +26,7 @@ impl MachineRow {
 /// meter across the last control interval.
 #[derive(Debug)]
 pub struct Dashboard {
-    machines: Vec<MachineRow>,
-    active_jobs: u64,
-    pending: u64,
-    /// (at, joules) of the last two control-interval meter readings.
-    energy_marks: [(SimTime, f64); 2],
-    /// Submission time per in-flight job, for sojourn measurement.
-    submits: BTreeMap<usize, SimTime>,
+    view: ClusterView,
     /// Arrival timestamps within the rolling window (front = oldest).
     arrivals: VecDeque<SimTime>,
     /// (completed_at, sojourn_secs) within the rolling window.
@@ -78,14 +39,10 @@ impl Dashboard {
     /// horizon or the readout degenerates into an all-time average.
     const ROLLING_WINDOW_S: f64 = 900.0;
 
-    /// Creates an empty dashboard for `num_machines` machines.
-    pub fn new(num_machines: usize) -> Self {
+    /// A dashboard over `view`; its machines are the frame's rows.
+    pub fn new(view: ClusterView) -> Self {
         Dashboard {
-            machines: vec![MachineRow::new(); num_machines],
-            active_jobs: 0,
-            pending: 0,
-            energy_marks: [(SimTime::ZERO, 0.0); 2],
-            submits: BTreeMap::new(),
+            view,
             arrivals: VecDeque::new(),
             sojourns: VecDeque::new(),
         }
@@ -113,80 +70,12 @@ impl Dashboard {
     /// Folds one event into the dashboard state.
     pub fn apply(&mut self, at: SimTime, event: &SimEvent) {
         self.prune_window(at);
-        match event {
-            SimEvent::JobSubmitted { job, .. } => {
-                self.active_jobs += 1;
-                self.submits.insert(job.index(), at);
-                self.arrivals.push_back(at);
-            }
-            SimEvent::JobCompleted { job } => {
-                self.active_jobs = self.active_jobs.saturating_sub(1);
-                if let Some(submitted) = self.submits.remove(&job.index()) {
-                    self.sojourns
-                        .push_back((at, (at - submitted).as_secs_f64()));
-                }
-            }
-            SimEvent::SlotOccupancyChanged {
-                machine,
-                kind,
-                occupied,
-                capacity,
-            } => {
-                if let Some(row) = self.machines.get_mut(machine.index()) {
-                    match kind {
-                        SlotKind::Map => {
-                            row.used_map = *occupied;
-                            row.cap_map = *capacity;
-                        }
-                        SlotKind::Reduce => {
-                            row.used_reduce = *occupied;
-                            row.cap_reduce = *capacity;
-                        }
-                    }
-                }
-            }
-            SimEvent::PowerStateChanged { machine, state } => {
-                if let Some(row) = self.machines.get_mut(machine.index()) {
-                    row.power = *state;
-                }
-            }
-            SimEvent::HeartbeatDrained { pending_total, .. } => self.pending = *pending_total,
-            SimEvent::ControlIntervalFired {
-                cumulative_energy_joules,
-                ..
-            } => {
-                self.energy_marks[0] = self.energy_marks[1];
-                self.energy_marks[1] = (at, *cumulative_energy_joules);
-            }
-            SimEvent::MachineFailed { machine, .. } => {
-                if let Some(row) = self.machines.get_mut(machine.index()) {
-                    row.health = Health::Dead;
-                    row.used_map = 0;
-                    row.used_reduce = 0;
-                }
-            }
-            SimEvent::MachineRecovered { machine } => {
-                if let Some(row) = self.machines.get_mut(machine.index()) {
-                    row.health = Health::Up;
-                }
-            }
-            SimEvent::MachineBlacklisted { machine, .. } => {
-                if let Some(row) = self.machines.get_mut(machine.index()) {
-                    row.health = Health::Blacklisted;
-                }
-            }
-            _ => {}
+        if let SimEvent::JobSubmitted { .. } = event {
+            self.arrivals.push_back(at);
         }
-    }
-
-    /// Fleet power draw over the last completed control interval, in watts.
-    pub fn energy_rate_watts(&self) -> f64 {
-        let [(t0, e0), (t1, e1)] = self.energy_marks;
-        let dt = (t1 - t0).as_secs_f64();
-        if dt <= 0.0 {
-            return 0.0;
+        if let Some(sojourn) = self.view.apply(at, event) {
+            self.sojourns.push_back((at, sojourn));
         }
-        (e1 - e0) / dt
     }
 
     /// Job arrivals per minute over the rolling window ending at `at`.
@@ -230,28 +119,25 @@ impl Dashboard {
 
     /// Renders one dashboard frame at simulated time `at`.
     pub fn render(&self, at: SimTime) -> String {
-        let busy_map: u32 = self.machines.iter().map(|m| m.used_map).sum();
-        let cap_map: u32 = self.machines.iter().map(|m| m.cap_map).sum();
-        let busy_reduce: u32 = self.machines.iter().map(|m| m.used_reduce).sum();
-        let cap_reduce: u32 = self.machines.iter().map(|m| m.cap_reduce).sum();
+        let (cap_map, cap_reduce) = capacities(self.view.machines.values());
         let mut out = format!(
             "== t={:>7.1} s | jobs {:>3} | arr {:>5.2}/min | p95 {:>6.0} s | queue {:>5} | \
              maps {:>3}/{:<3} | reduces {:>2}/{:<2} | fleet {:>6.0} W ==\n",
             at.as_secs_f64(),
-            self.active_jobs,
+            self.view.active_jobs,
             self.arrival_rate_per_min(at),
             self.rolling_p95_sojourn_s(at),
-            self.pending,
-            busy_map,
+            self.view.queue_depth,
+            self.view.busy_map,
             cap_map,
-            busy_reduce,
+            self.view.busy_reduce,
             cap_reduce,
-            self.energy_rate_watts(),
+            self.view.energy_rate_watts(),
         );
-        if self.machines.len() > Self::GROUP_THRESHOLD {
+        if self.view.machines.len() > Self::GROUP_THRESHOLD {
             self.render_groups(&mut out);
         } else {
-            for (i, row) in self.machines.iter().enumerate() {
+            for (machine, row) in &self.view.machines {
                 let state = match (row.health, row.power) {
                     (Health::Dead, _) => "DEAD",
                     (Health::Blacklisted, _) => "BLACKLISTED",
@@ -262,13 +148,13 @@ impl Dashboard {
                 };
                 out.push_str(&format!(
                     "  m{:02}  map {} {:>2}/{:<2}  red {} {:>2}/{:<2}  {}\n",
-                    i,
-                    bar(row.used_map, row.cap_map),
-                    row.used_map,
-                    row.cap_map,
-                    bar(row.used_reduce, row.cap_reduce),
-                    row.used_reduce,
-                    row.cap_reduce,
+                    machine.index(),
+                    bar(row.map.used.into(), row.map.capacity.into()),
+                    row.map.used,
+                    row.map.capacity,
+                    bar(row.reduce.used.into(), row.reduce.capacity.into()),
+                    row.reduce.used,
+                    row.reduce.capacity,
                     state,
                 ));
             }
@@ -282,33 +168,19 @@ impl Dashboard {
     /// groups. Bars show summed occupancy; the trailing status counts any
     /// machines that are not nominally up.
     fn render_groups(&self, out: &mut String) {
-        let mut start = 0;
-        while start < self.machines.len() {
-            let key = (
-                self.machines[start].cap_map,
-                self.machines[start].cap_reduce,
-            );
-            let mut end = start + 1;
-            while end < self.machines.len()
-                && (self.machines[end].cap_map, self.machines[end].cap_reduce) == key
-            {
-                end += 1;
-            }
-            let rows = &self.machines[start..end];
-            let used_map: u32 = rows.iter().map(|m| m.used_map).sum();
-            let cap_map: u32 = rows.iter().map(|m| m.cap_map).sum();
-            let used_reduce: u32 = rows.iter().map(|m| m.used_reduce).sum();
-            let cap_reduce: u32 = rows.iter().map(|m| m.cap_reduce).sum();
-            let dead = rows.iter().filter(|m| m.health == Health::Dead).count();
-            let blacklisted = rows
-                .iter()
-                .filter(|m| m.health == Health::Blacklisted)
-                .count();
-            let low_power = rows
-                .iter()
+        let machines: Vec<_> = self.view.machines.iter().collect();
+        let signature = |row: &MachineRow| (row.map.capacity, row.reduce.capacity);
+        for run in machines.chunk_by(|(_, a), (_, b)| signature(a) == signature(b)) {
+            let rows = || run.iter().map(|&(_, row)| row);
+            let used_map: u64 = rows().map(|m| u64::from(m.map.used)).sum();
+            let used_reduce: u64 = rows().map(|m| u64::from(m.reduce.used)).sum();
+            let (cap_map, cap_reduce) = capacities(rows());
+            let dead = rows().filter(|m| m.health == Health::Dead).count();
+            let blacklisted = rows().filter(|m| m.health == Health::Blacklisted).count();
+            let low_power = rows()
                 .filter(|m| m.health == Health::Up && m.power != PowerState::Nominal)
                 .count();
-            let mut state = format!("{} up", rows.len() - dead - blacklisted);
+            let mut state = format!("{} up", run.len() - dead - blacklisted);
             for (n, label) in [
                 (dead, "DEAD"),
                 (blacklisted, "BLACKLISTED"),
@@ -320,9 +192,9 @@ impl Dashboard {
             }
             out.push_str(&format!(
                 "  m{:04}-m{:04} ({:>4}x)  map {} {:>5}/{:<5}  red {} {:>4}/{:<4}  {}\n",
-                start,
-                end - 1,
-                rows.len(),
+                run[0].0.index(),
+                run[run.len() - 1].0.index(),
+                run.len(),
                 bar(used_map, cap_map),
                 used_map,
                 cap_map,
@@ -331,9 +203,18 @@ impl Dashboard {
                 cap_reduce,
                 state,
             ));
-            start = end;
         }
     }
+}
+
+/// Summed `(map, reduce)` slot capacities of `rows`.
+fn capacities<'a>(rows: impl Iterator<Item = &'a MachineRow>) -> (u64, u64) {
+    rows.fold((0, 0), |(m, r), row| {
+        (
+            m + u64::from(row.map.capacity),
+            r + u64::from(row.reduce.capacity),
+        )
+    })
 }
 
 /// Series the telemetry panel plots first, in this order, when the
@@ -418,16 +299,18 @@ fn render_series(snapshot: &SeriesSnapshot) -> String {
 }
 
 /// Fixed-width occupancy bar, e.g. `[####----]`.
-fn bar(used: u32, capacity: u32) -> String {
-    const WIDTH: usize = 8;
+fn bar(used: u64, capacity: u64) -> String {
+    const WIDTH: u64 = 8;
     let filled = if capacity == 0 {
         0
     } else {
-        (used as usize * WIDTH)
-            .div_ceil(capacity as usize)
-            .min(WIDTH)
+        used.saturating_mul(WIDTH).div_ceil(capacity).min(WIDTH)
     };
-    format!("[{}{}]", "#".repeat(filled), "-".repeat(WIDTH - filled))
+    format!(
+        "[{}{}]",
+        "#".repeat(filled as usize),
+        "-".repeat((WIDTH - filled) as usize)
+    )
 }
 
 /// Replays the trace at `path` through a [`Dashboard`], emitting one frame
@@ -439,36 +322,22 @@ fn bar(used: u32, capacity: u32) -> String {
 ///
 /// Returns I/O or parse errors (with line numbers) from the trace.
 pub fn run(path: &Path, every_secs: f64) -> Result<String, String> {
-    let file =
-        std::fs::File::open(path).map_err(|e| format!("cannot open {}: {e}", path.display()))?;
-    let events =
-        read_trace_lines(BufReader::new(file)).map_err(|e| format!("{}: {e}", path.display()))?;
-    let Some((_, end, _)) = events.last() else {
-        return Err("trace is empty".to_owned());
-    };
+    let events = load_trace(path)?;
+    let end = events[events.len() - 1].1;
     let every = if every_secs > 0.0 {
         every_secs
     } else {
         (end.as_secs_f64() / 12.0).max(1.0)
     };
 
-    let num_machines = events
-        .iter()
-        .filter_map(|(_, _, e)| match e {
-            SimEvent::SlotOccupancyChanged { machine, .. }
-            | SimEvent::HeartbeatDrained { machine, .. }
-            | SimEvent::PowerStateChanged { machine, .. } => Some(machine.index() + 1),
-            _ => None,
-        })
-        .max()
-        .unwrap_or(0);
-
-    let mut dash = Dashboard::new(num_machines);
+    let mut dash = Dashboard::new(ClusterView::with_machines(
+        events.iter().filter_map(|(_, _, event)| event.machine()),
+    ));
     let mut out = format!(
         "watching {} — {} events, {} machines, one frame per {:.0} s simulated\n\n",
         path.display(),
         events.len(),
-        num_machines,
+        dash.view.machines.len(),
         every,
     );
     let mut next_frame = every;
@@ -486,7 +355,7 @@ pub fn run(path: &Path, every_secs: f64) -> Result<String, String> {
         *kinds.entry(event.kind()).or_default() += 1;
         dash.apply(*at, event);
     }
-    out.push_str(&dash.render(*end));
+    out.push_str(&dash.render(end));
     frames += 1;
     out.push_str(&format!(
         "\n{} frames rendered; event mix: {}\n",
@@ -546,40 +415,38 @@ mod tests {
         std::fs::remove_file(path).ok();
     }
 
+    /// Folds canonical trace lines into `dash`.
+    fn feed(dash: &mut Dashboard, lines: impl IntoIterator<Item = String>) {
+        for line in lines {
+            let (at, event) = metrics::trace::parse_trace_line(&line).unwrap();
+            dash.apply(at, &event);
+        }
+    }
+
+    fn occupancy(machine: usize, kind: &str, occupied: u32, capacity: u32) -> String {
+        format!(
+            r#"{{"at":0,"type":"slot_occupancy_changed","machine":{machine},"kind":"{kind}","occupied":{occupied},"capacity":{capacity}}}"#
+        )
+    }
+
     #[test]
     fn large_fleets_aggregate_rows_by_capacity_group() {
-        use cluster::MachineId;
-
         // Two contiguous capacity groups: 80 machines with 2 map / 1 reduce
         // slots, then 20 with 4 / 2 — past the per-machine threshold.
-        let mut dash = Dashboard::new(100);
-        for i in 0..100usize {
-            let (cap_map, cap_reduce) = if i < 80 { (2, 1) } else { (4, 2) };
-            dash.apply(
-                SimTime::ZERO,
-                &SimEvent::SlotOccupancyChanged {
-                    machine: MachineId(i),
-                    kind: SlotKind::Map,
-                    occupied: u32::from(i % 2 == 0),
-                    capacity: cap_map,
-                },
-            );
-            dash.apply(
-                SimTime::ZERO,
-                &SimEvent::SlotOccupancyChanged {
-                    machine: MachineId(i),
-                    kind: SlotKind::Reduce,
-                    occupied: 0,
-                    capacity: cap_reduce,
-                },
-            );
-        }
-        dash.apply(
-            SimTime::ZERO,
-            &SimEvent::MachineFailed {
-                machine: MachineId(2),
-                attempts_lost: 1,
-            },
+        let mut dash = Dashboard::new(ClusterView::default());
+        feed(
+            &mut dash,
+            (0..100usize).flat_map(|i| {
+                let (cap_map, cap_reduce) = if i < 80 { (2, 1) } else { (4, 2) };
+                [
+                    occupancy(i, "map", u32::from(i % 2 == 0), cap_map),
+                    occupancy(i, "reduce", 0, cap_reduce),
+                ]
+            }),
+        );
+        feed(
+            &mut dash,
+            [r#"{"at":0,"type":"machine_failed","machine":2,"attempts_lost":1}"#.to_owned()],
         );
         let out = dash.render(SimTime::from_secs(60));
         assert!(out.contains("m0000-m0079 (  80x)"), "{out}");
@@ -596,7 +463,7 @@ mod tests {
     fn arrival_rate_and_rolling_p95_track_the_window() {
         use workload::JobId;
 
-        let mut dash = Dashboard::new(1);
+        let mut dash = Dashboard::new(ClusterView::default());
         // One arrival per minute; each job takes exactly 120 s, so the
         // completion of job i-2 lands at the same instant as arrival i.
         for i in 0..10u64 {
@@ -645,19 +512,32 @@ mod tests {
 
     #[test]
     fn small_fleets_keep_per_machine_rows() {
-        let mut dash = Dashboard::new(3);
-        dash.apply(
-            SimTime::ZERO,
-            &SimEvent::SlotOccupancyChanged {
-                machine: cluster::MachineId(1),
-                kind: SlotKind::Map,
-                occupied: 2,
-                capacity: 4,
-            },
-        );
+        use cluster::MachineId;
+
+        let mut dash = Dashboard::new(ClusterView::with_machines((0..3).map(MachineId)));
+        feed(&mut dash, [occupancy(1, "map", 2, 4)]);
         let out = dash.render(SimTime::from_secs(5));
         assert!(out.contains("m00"), "{out}");
         assert!(out.contains("m01"), "{out}");
         assert!(out.contains("m02"), "{out}");
+    }
+
+    #[test]
+    fn rejects_garbage_inputs() {
+        let dir = std::env::temp_dir().join(format!("eant-watch-bad-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("trace.jsonl");
+        std::fs::write(&path, "").unwrap();
+        assert!(run(&path, 0.0).is_err());
+        // A machine id far past any fleet costs one row, not one per id.
+        std::fs::write(
+            &path,
+            format!("{}\n", occupancy(1_000_000_000_000, "map", 1, 2)),
+        )
+        .unwrap();
+        let out = run(&path, 0.0).unwrap();
+        assert!(out.contains("1 machines"), "{out}");
+        assert!(out.contains("m1000000000000"), "{out}");
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -73,7 +73,8 @@ impl JobEntry {
 }
 
 /// Dense job/group scoreboard with an id-sorted active index and O(1)
-/// aggregate totals. See the [module docs](self) for the design.
+/// aggregate totals, updated by the engine at the events that change them
+/// and borrowed by schedulers at decision time.
 ///
 /// # Examples
 ///

@@ -85,41 +85,6 @@ pub struct IntervalSnapshot {
     pub assignments: BTreeMap<JobId, Vec<(MachineId, u64)>>,
 }
 
-impl IntervalSnapshot {
-    /// The fraction of `job`'s assignment *distribution* this interval that
-    /// overlaps the previous interval's distribution — the paper's
-    /// stability measure ("more than 80 % tasks revisit the same machines",
-    /// §VI-C), read distributionally: with per-machine assignment fractions
-    /// `p` (current) and `q` (previous), the overlap is `Σ_m min(p_m, q_m)`
-    /// (equivalently `1 −` total-variation distance). A set-membership
-    /// reading would saturate trivially on jobs wide enough to touch every
-    /// machine each interval.
-    ///
-    /// Returns `None` when the job assigned no tasks in either interval.
-    pub fn revisit_fraction(&self, previous: &IntervalSnapshot, job: JobId) -> Option<f64> {
-        let cur = self.assignments.get(&job)?;
-        let cur_total: u64 = cur.iter().map(|&(_, n)| n).sum();
-        let prev = previous.assignments.get(&job)?;
-        let prev_total: u64 = prev.iter().map(|&(_, n)| n).sum();
-        if cur_total == 0 || prev_total == 0 {
-            return None;
-        }
-        // Machines absent from the current row contribute min(0, q) = 0.
-        let overlap: f64 = cur
-            .iter()
-            .map(|&(m, c)| {
-                let p = c as f64 / cur_total as f64;
-                let q = prev
-                    .binary_search_by_key(&m, |&(pm, _)| pm)
-                    .map_or(0, |i| prev[i].1) as f64
-                    / prev_total as f64;
-                p.min(q)
-            })
-            .sum();
-        Some(overlap)
-    }
-}
-
 /// Folds one interval's start log — a `(job, machine)` pair per fresh task
 /// start, in any order — into [`IntervalSnapshot::assignments`] rows, and
 /// empties the log (keeping its capacity for the next interval).
@@ -227,7 +192,7 @@ pub struct RunResult {
     /// Whether the run drained all jobs before the time limit.
     pub drained: bool,
     /// Group labels interned over the run, in [`workload::GroupId`] order:
-    /// `groups[g.index()]` resolves a [`TaskReport::group`] symbol back to
+    /// `groups[g.index()]` resolves a [`TaskReport::group`](crate::TaskReport::group) symbol back to
     /// its label (e.g. `"Terasort-M"`).
     pub groups: Vec<String>,
     /// Per-job outcomes, in submission order.
@@ -353,77 +318,11 @@ impl RunResult {
         }
         out
     }
-
-    /// The interval index (1-based) at which `job`'s assignment first became
-    /// *stable*: ≥ `threshold` of its tasks revisit machines used in the
-    /// previous interval (§VI-C uses 0.8). `None` if never stable.
-    pub fn convergence_interval(&self, job: JobId, threshold: f64) -> Option<usize> {
-        for w in self.intervals.windows(2) {
-            if let Some(frac) = w[1].revisit_fraction(&w[0], job) {
-                if frac >= threshold {
-                    return self.intervals.iter().position(|s| std::ptr::eq(s, &w[1]));
-                }
-            }
-        }
-        None
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// A snapshot from dense per-machine counts, stored as sparse rows.
-    fn snapshot(at_secs: u64, assignments: &[(u64, Vec<u64>)]) -> IntervalSnapshot {
-        IntervalSnapshot {
-            at: SimTime::from_secs(at_secs),
-            cumulative_energy_joules: 0.0,
-            assignments: assignments
-                .iter()
-                .map(|(j, counts)| {
-                    let cells = counts.iter().enumerate().filter(|&(_, &n)| n > 0);
-                    (JobId(*j), cells.map(|(m, &n)| (MachineId(m), n)).collect())
-                })
-                .collect(),
-        }
-    }
-
-    #[test]
-    fn revisit_fraction_identical_distribution_is_one() {
-        let a = snapshot(300, &[(0, vec![5, 5, 0])]);
-        let b = snapshot(600, &[(0, vec![10, 10, 0])]);
-        assert_eq!(b.revisit_fraction(&a, JobId(0)), Some(1.0));
-    }
-
-    #[test]
-    fn revisit_fraction_partial_overlap() {
-        let a = snapshot(300, &[(0, vec![10, 0, 0])]);
-        let b = snapshot(600, &[(0, vec![6, 4, 0])]);
-        // Overlap = min(1.0, 0.6) + min(0, 0.4) = 0.6.
-        assert_eq!(b.revisit_fraction(&a, JobId(0)), Some(0.6));
-    }
-
-    #[test]
-    fn revisit_fraction_disjoint_is_zero() {
-        let a = snapshot(300, &[(0, vec![10, 0])]);
-        let b = snapshot(600, &[(0, vec![0, 10])]);
-        assert_eq!(b.revisit_fraction(&a, JobId(0)), Some(0.0));
-    }
-
-    #[test]
-    fn revisit_fraction_none_for_idle_job() {
-        let a = snapshot(300, &[(0, vec![1, 0])]);
-        let b = snapshot(600, &[(0, vec![0, 0])]);
-        assert_eq!(b.revisit_fraction(&a, JobId(0)), None);
-        assert_eq!(b.revisit_fraction(&a, JobId(9)), None);
-    }
-
-    #[test]
-    fn revisit_fraction_none_when_previous_absent() {
-        let a = snapshot(300, &[]);
-        let b = snapshot(600, &[(0, vec![5, 5])]);
-        assert_eq!(b.revisit_fraction(&a, JobId(0)), None);
-    }
 
     fn result_with(machines: Vec<MachineOutcome>, jobs: Vec<JobOutcome>) -> RunResult {
         RunResult {
@@ -520,17 +419,5 @@ mod tests {
             ],
         );
         assert_eq!(r.completion_by_label(), vec![("Grep-S".to_owned(), 200.0)]);
-    }
-
-    #[test]
-    fn convergence_interval_detection() {
-        let mut r = result_with(vec![], vec![]);
-        r.intervals = vec![
-            snapshot(300, &[(0, vec![10, 0])]),
-            snapshot(600, &[(0, vec![5, 5])]), // overlap 0.5
-            snapshot(900, &[(0, vec![5, 5])]), // overlap 1.0 → stable
-        ];
-        assert_eq!(r.convergence_interval(JobId(0), 0.8), Some(2));
-        assert_eq!(r.convergence_interval(JobId(1), 0.8), None);
     }
 }

@@ -288,6 +288,25 @@ impl SimEvent {
             SimEvent::RunFinished { .. } => "run_finished",
         }
     }
+
+    /// The machine the event names, if any.
+    pub fn machine(&self) -> Option<MachineId> {
+        match self {
+            SimEvent::TaskStarted { machine, .. }
+            | SimEvent::TaskCompleted { machine, .. }
+            | SimEvent::HeartbeatDrained { machine, .. }
+            | SimEvent::SlotOccupancyChanged { machine, .. }
+            | SimEvent::PowerStateChanged { machine, .. }
+            | SimEvent::SpeculationLaunched { machine, .. }
+            | SimEvent::TaskFailed { machine, .. }
+            | SimEvent::MachineFailed { machine, .. }
+            | SimEvent::MapOutputLost { machine, .. }
+            | SimEvent::MachineRecovered { machine }
+            | SimEvent::MachineBlacklisted { machine, .. }
+            | SimEvent::AssignmentDecision { machine, .. } => Some(*machine),
+            _ => None,
+        }
+    }
 }
 
 #[cfg(test)]

@@ -7,8 +7,6 @@
 //!   schedulers (the Fig. 8(a) / Fig. 10 / Fig. 12 y axes).
 //! * [`fairness`] — per-job slowdown against standalone execution and the
 //!   paper's fairness metric, the inverse variance of slowdowns (§VI-D).
-//! * [`convergence`] — time to a stable assignment (≥ 80 % of tasks
-//!   revisiting the previous interval's machines, §VI-C; Fig. 11).
 //! * [`report`] — fixed-width text tables and ASCII series used by the
 //!   experiment binaries to print every figure/table.
 //! * [`csv`] — CSV export of run results for external plotting.
@@ -34,7 +32,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod convergence;
 pub mod csv;
 pub mod emit;
 pub mod energy;
