@@ -7,9 +7,6 @@
 //! * [`FairScheduler`] — the Hadoop Fair Scheduler: every job gets an equal
 //!   minimum share of slots; slots go to the most deficit job. One of the
 //!   paper's two headline comparators (heterogeneity-oblivious).
-//! * [`CapacityScheduler`] — the Hadoop Capacity Scheduler (multi-queue
-//!   guaranteed shares with elasticity), the other stock sharing scheduler
-//!   §VII names.
 //! * [`TarazuScheduler`] — a reimplementation of Tarazu's
 //!   communication-aware load balancing (Ahmad et al., ASPLOS 2012) from
 //!   its published description: map work is skewed toward faster machines,
@@ -17,7 +14,7 @@
 //!   slow machines defer non-local work. The paper's second comparator
 //!   (heterogeneity-aware but performance-oriented).
 //!
-//! All four implement [`hadoop_sim::Scheduler`] and can be swapped into the
+//! All three implement [`hadoop_sim::Scheduler`] and can be swapped into the
 //! engine interchangeably with E-Ant.
 //!
 //! # Examples
@@ -40,12 +37,10 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-mod capacity;
 mod fair;
 mod fifo;
 mod tarazu;
 
-pub use capacity::CapacityScheduler;
 pub use fair::FairScheduler;
 pub use fifo::FifoScheduler;
 pub use tarazu::{TarazuConfig, TarazuScheduler};

@@ -378,6 +378,9 @@ pub fn replay(path: &Path) -> Result<String, String> {
     if stats.energy_series().last_value().map(f64::to_bits) != Some(total_energy_joules.to_bits()) {
         return Err("replayed energy series does not end at the footer total".to_owned());
     }
+    if let Some(defect) = stats.inconsistency() {
+        return Err(format!("inconsistent trace: {defect}"));
+    }
     let mut out = format!(
         "replayed {} events from {}: {} machines, {} tasks, makespan {:.0} s, \
          {:.3} MJ, drained={} — aggregates match the run_finished footer",
@@ -521,6 +524,39 @@ mod tests {
                 "{\"at\":0,\"type\":\"task_started\",\"task\":{\"job\":0,\"kind\":\"map\",\
                  \"index\":0},\"machine\":18446744073709551615,\"speculative\":false}\n",
                 "line 1: m18446744073709551615 is out of range",
+            ),
+        ] {
+            std::fs::write(&path, text).unwrap();
+            let err = replay(&path).unwrap_err();
+            assert!(err.contains(expect), "{err}");
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn replay_reports_inconsistent_streams_without_panicking() {
+        let dir = std::env::temp_dir().join("eant-trace-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(format!("inconsistent-{}.jsonl", std::process::id()));
+        let footer = |tasks: u64| {
+            format!(
+                "{{\"at\":20,\"type\":\"run_finished\",\"drained\":true,\
+                 \"total_energy_joules\":5.5,\"total_tasks\":{tasks}}}\n"
+            )
+        };
+        for (text, expect) in [
+            // A map output lost before any task won.
+            (
+                "{\"at\":10,\"type\":\"map_output_lost\",\"task\":{\"job\":0,\"kind\":\"map\",\
+                 \"index\":0},\"machine\":0}\n"
+                    .to_owned()
+                    + &footer(0),
+                "map_output_lost with no won task_completed",
+            ),
+            // A footer that claims more tasks than the stream completed.
+            (
+                footer(3),
+                "replayed task count 0 diverges from the footer 3",
             ),
         ] {
             std::fs::write(&path, text).unwrap();

@@ -249,7 +249,7 @@ impl Engine {
         let finished = self.jobs[ji].is_task_finished(rt.kind, index);
         if !finished && !live {
             match rt.kind {
-                SlotKind::Map => self.jobs[ji].maps.return_map(&self.fleet, index),
+                SlotKind::Map => self.jobs[ji].maps_mut().return_map(&self.fleet, index),
                 SlotKind::Reduce => self.jobs[ji].return_reduce(index),
             }
         }

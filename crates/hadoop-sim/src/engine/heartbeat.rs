@@ -129,7 +129,8 @@ impl Engine {
             let state = &mut self.jobs[ji];
             match kind {
                 SlotKind::Map => {
-                    let Some((idx, loc)) = state.maps.take_map_for(&self.fleet, machine) else {
+                    let Some((idx, loc)) = state.maps_mut().take_map_for(&self.fleet, machine)
+                    else {
                         return false;
                     };
                     let demand = state.spec.map_demand(&mut self.rng_demand);
@@ -155,7 +156,7 @@ impl Engine {
             .and_then(|m| m.occupy(self.now, kind, rt.core_load));
         if occupy.is_err() {
             match kind {
-                SlotKind::Map => self.jobs[ji].maps.return_map(&self.fleet, index),
+                SlotKind::Map => self.jobs[ji].maps_mut().return_map(&self.fleet, index),
                 SlotKind::Reduce => self.jobs[ji].return_reduce(index),
             }
             return false;

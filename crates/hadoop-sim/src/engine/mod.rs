@@ -128,6 +128,10 @@ pub struct Engine {
     rng_noise: SimRng,
     rng_place: SimRng,
     placer: BlockPlacer,
+    /// Jobs below this id are placed, or were given explicit blocks. Blocks
+    /// are placed in id order, so `rng_place` draws the same sequence
+    /// whatever order the jobs arrive in.
+    place_cursor: usize,
     // Per-machine counters.
     map_counts: Vec<u64>,
     reduce_counts: Vec<u64>,
@@ -260,6 +264,7 @@ impl Engine {
             rng_noise: root.fork("noise"),
             rng_place: root.fork("placement"),
             placer: BlockPlacer::new(DEFAULT_REPLICATION),
+            place_cursor: 0,
             map_counts: vec![0; n],
             reduce_counts: vec![0; n],
             bench_counts: vec![[None; BenchmarkKind::ALL.len()]; n],
@@ -317,9 +322,14 @@ impl Engine {
         self.report_trace.attach(observer);
     }
 
-    /// Registers jobs to be submitted at their `submit_at` times. Input
-    /// blocks are placed (rack-aware, 3-way replicated) immediately so the
-    /// layout is deterministic per seed.
+    /// Registers jobs to be submitted at their `submit_at` times.
+    ///
+    /// Input blocks are placed (rack-aware, 3-way replicated) when a job
+    /// arrives, not here, and freed when it completes, so the engine holds
+    /// block state only for jobs in flight. Placement runs in job-id order:
+    /// before a job is placed, every earlier job still unplaced is placed
+    /// first. The layout is therefore a function of the seed and the job
+    /// list alone, whatever order the jobs arrive in.
     ///
     /// # Panics
     ///
@@ -330,27 +340,38 @@ impl Engine {
         self.submitted.reserve(specs.len());
         self.duration_stats.reserve(specs.len());
         for spec in specs {
-            assert_eq!(
-                spec.id().index(),
-                self.jobs.len(),
-                "job ids must be dense and in submission order"
-            );
-            let maps = PendingMaps::place(
-                &self.fleet,
-                spec.num_maps(),
-                &mut self.placer,
-                &mut self.rng_place,
-            );
-            self.register_job(spec, maps, false);
+            self.register_job(JobState::new(spec), false);
         }
     }
 
-    /// Adds one job with its placed input blocks to every per-job table.
-    fn register_job(&mut self, spec: JobSpec, maps: PendingMaps, submitted: bool) {
-        self.state.register(&spec);
+    /// Adds one job to every per-job table.
+    fn register_job(&mut self, job: JobState, submitted: bool) {
+        assert_eq!(
+            job.spec.id().index(),
+            self.jobs.len(),
+            "job ids must be dense and in submission order"
+        );
+        self.state.register(&job.spec);
         self.duration_stats.push([(0.0, 0); 2]);
-        self.jobs.push(JobState::new(spec, maps));
+        self.jobs.push(job);
         self.submitted.push(submitted);
+    }
+
+    /// Places the blocks of job `ji` and of every earlier job still
+    /// unplaced, in id order.
+    fn place_blocks_through(&mut self, ji: usize) {
+        while self.place_cursor <= ji {
+            let job = &mut self.jobs[self.place_cursor];
+            if !job.is_placed() {
+                job.place(PendingMaps::place(
+                    &self.fleet,
+                    job.spec.num_maps(),
+                    &mut self.placer,
+                    &mut self.rng_place,
+                ));
+            }
+            self.place_cursor += 1;
+        }
     }
 
     /// Registers one job with an explicit block placement instead of the
@@ -364,17 +385,14 @@ impl Engine {
     /// the job's map count.
     pub fn submit_job_with_blocks(&mut self, spec: JobSpec, blocks: Vec<cluster::hdfs::Block>) {
         assert_eq!(
-            spec.id().index(),
-            self.jobs.len(),
-            "job ids must be dense and in submission order"
-        );
-        assert_eq!(
             blocks.len(),
             spec.num_maps() as usize,
             "one block per map task required"
         );
         let maps = PendingMaps::new(&self.fleet, &blocks);
-        self.register_job(spec, maps, false);
+        let mut job = JobState::new(spec);
+        job.place(maps);
+        self.register_job(job, false);
     }
 
     /// The engine's fleet.
@@ -403,21 +421,11 @@ impl Engine {
     /// Registers a stream-pulled job at its arrival instant: same
     /// registration steps as [`submit_jobs`](Engine::submit_jobs), but the
     /// job is marked submitted immediately (its `StreamArrival` event *is*
-    /// the submission).
+    /// the submission) and its blocks are placed at once.
     fn register_stream_job(&mut self, spec: JobSpec) {
-        debug_assert_eq!(
-            spec.id().index(),
-            self.jobs.len(),
-            "stream job ids must continue the dense sequence"
-        );
         let id = spec.id();
-        let maps = PendingMaps::place(
-            &self.fleet,
-            spec.num_maps(),
-            &mut self.placer,
-            &mut self.rng_place,
-        );
-        self.register_job(spec, maps, true);
+        self.register_job(JobState::new(spec), true);
+        self.place_blocks_through(id.index());
         self.state.update(id, |e| e.submitted = true);
     }
 
@@ -476,6 +484,7 @@ impl Engine {
             loop {
                 match event {
                     Event::JobArrival(i) => {
+                        self.place_blocks_through(i);
                         self.submitted[i] = true;
                         self.state.update(JobId(i as u64), |e| e.submitted = true);
                         let spec = self.jobs[i].spec.clone();
@@ -592,7 +601,7 @@ impl Engine {
     /// the job; cost is O(1) plus at most one active-index edit.
     fn refresh_job(&mut self, ji: usize) {
         let j = &self.jobs[ji];
-        let pending_maps = j.maps.len();
+        let pending_maps = j.pending_maps();
         let pending_reduces = j.pending_reduces(self.config.reduce_slowstart);
         let slots_occupied = j.running_tasks;
         let completed_tasks = j.completed_tasks();
@@ -625,9 +634,12 @@ impl ClusterQuery for Engine {
     }
 
     fn best_map_locality(&self, job: JobId, machine: MachineId) -> Option<Locality> {
-        self.jobs
-            .get(job.index())
-            .and_then(|j| j.maps.best_map_locality(&self.fleet, machine))
+        if !self.submitted.get(job.index()).copied().unwrap_or(false) {
+            return None;
+        }
+        self.jobs[job.index()]
+            .maps()
+            .best_map_locality(&self.fleet, machine)
     }
 
     fn total_slots(&self) -> usize {
@@ -666,7 +678,7 @@ impl ClusterQuery for Engine {
             .map(|(i, j)| JobEntry {
                 id: j.spec.id(),
                 group: self.state.job(j.spec.id()).group,
-                pending_maps: j.maps.len(),
+                pending_maps: j.pending_maps(),
                 pending_reduces: j.pending_reduces(slowstart),
                 slots_occupied: j.running_tasks,
                 completed_tasks: j.completed_tasks(),
@@ -907,6 +919,38 @@ mod tests {
         assert!(r.drained);
         assert!(r.jobs.iter().all(|j| j.finished_at.is_some()));
         assert_eq!(r.total_tasks, 42);
+    }
+
+    #[test]
+    fn completed_jobs_hold_no_block_state() {
+        // Speculative losers and crashes that lose map outputs are the
+        // paths that still reach a job after its last task won.
+        let cfg = EngineConfig {
+            noise: NoiseConfig {
+                straggler_prob: 0.2,
+                straggler_slowdown: (3.0, 5.0),
+                utilization_jitter: 0.0,
+            },
+            speculation: SpeculationPolicy::Hadoop,
+            fault: crate::FaultConfig::moderate(),
+            ..EngineConfig::default()
+        };
+        let mut engine = Engine::new(small_fleet(), cfg, 9);
+        engine.submit_jobs(
+            (0..6)
+                .map(|i| {
+                    let at = SimTime::from_secs(40 * i);
+                    JobSpec::new(JobId(i), Benchmark::wordcount(), 20, 2, at)
+                })
+                .collect(),
+        );
+        let r = engine.run(&mut GreedyScheduler::new());
+        assert!(r.drained);
+        assert!(r.speculative_attempts > 0 && r.task_failures > 0);
+        for job in &engine.jobs {
+            assert!(job.is_complete());
+            assert_eq!(job.block_state_bytes(), 0, "{}", job.spec.id());
+        }
     }
 
     #[test]

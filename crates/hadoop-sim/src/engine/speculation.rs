@@ -75,7 +75,7 @@ impl Engine {
         let ji = task.job.index();
         let (locality, demand) = match kind {
             SlotKind::Map => {
-                let replicas = self.jobs[ji].maps.replicas(task.task.index);
+                let replicas = self.jobs[ji].maps().replicas(task.task.index);
                 let loc = cluster::hdfs::locality(&self.fleet, replicas, machine);
                 (
                     Some(loc),

@@ -22,8 +22,9 @@ pub enum JobPhase {
 }
 
 /// The input-block replicas of every map task of one job, packed into one
-/// allocation rather than one per block.
-#[derive(Debug, Clone)]
+/// allocation rather than one per block. The default holds no block and
+/// no allocation: the state of a job whose blocks were released.
+#[derive(Debug, Clone, Default)]
 struct BlockReplicas {
     machines: Vec<MachineId>,
     /// Map `i`'s replicas are `machines[offsets[i]..offsets[i + 1]]`.
@@ -70,7 +71,7 @@ impl BlockReplicas {
 
     /// Number of blocks.
     fn len(&self) -> usize {
-        self.offsets.len() - 1
+        self.offsets.len().saturating_sub(1)
     }
 
     /// The machines holding map `index`'s input block.
@@ -137,7 +138,9 @@ impl TaskBits {
 /// maps.return_map(&fleet, 0);
 /// assert_eq!(maps.best_map_locality(&fleet, MachineId(1)), Some(Locality::NodeLocal));
 /// ```
-#[derive(Debug, Clone)]
+///
+/// The default holds no block and allocates nothing.
+#[derive(Debug, Clone, Default)]
 pub struct PendingMaps {
     /// Input block replicas of each map task (index-aligned).
     blocks: BlockReplicas,
@@ -288,12 +291,23 @@ impl PendingMaps {
     }
 }
 
+/// Panic message of a block read on a job whose blocks are not placed.
+const UNPLACED: &str = "a job's blocks are placed at its arrival";
+
 /// JobTracker-side state of one submitted job.
+///
+/// The block state — the map queue with its input blocks and locality
+/// counts, and the reduce queue — lives only while the job is in flight:
+/// the engine places the blocks at the job's arrival, and the winning
+/// completion of the job's last task frees them. What stays for a
+/// complete job is its spec, counters and `finished` bits, which a
+/// speculative loser arriving later still reads.
 #[derive(Debug, Clone)]
 pub(crate) struct JobState {
     pub spec: JobSpec,
-    /// Pending map tasks and their input blocks' locality index.
-    pub maps: PendingMaps,
+    /// Pending map tasks and their input blocks' locality index; `None`
+    /// until the job's blocks are placed.
+    maps: Option<PendingMaps>,
     pending_reduces: VecDeque<u32>,
     /// Tasks some attempt has completed: maps, then reduces.
     finished: [TaskBits; 2],
@@ -305,8 +319,8 @@ pub(crate) struct JobState {
 }
 
 impl JobState {
-    pub fn new(spec: JobSpec, maps: PendingMaps) -> Self {
-        debug_assert_eq!(maps.len(), spec.num_maps());
+    /// A job whose blocks are placed later, through [`JobState::place`].
+    pub fn new(spec: JobSpec) -> Self {
         let pending_reduces = (0..spec.num_reduces()).collect();
         let finished = [
             TaskBits::new(spec.num_maps()),
@@ -314,7 +328,7 @@ impl JobState {
         ];
         JobState {
             spec,
-            maps,
+            maps: None,
             pending_reduces,
             finished,
             running_tasks: 0,
@@ -323,6 +337,58 @@ impl JobState {
             first_task_at: None,
             finished_at: None,
         }
+    }
+
+    /// Installs the job's placed input blocks, one per map task, all
+    /// pending.
+    pub fn place(&mut self, maps: PendingMaps) {
+        debug_assert!(self.maps.is_none(), "a job's blocks are placed once");
+        debug_assert_eq!(maps.len(), self.spec.num_maps());
+        self.maps = Some(maps);
+    }
+
+    /// Whether the job's blocks are placed (or were, before completion
+    /// released them).
+    pub fn is_placed(&self) -> bool {
+        self.maps.is_some()
+    }
+
+    /// The pending map tasks and their blocks.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the job's blocks are not placed yet.
+    pub fn maps(&self) -> &PendingMaps {
+        self.maps.as_ref().expect(UNPLACED)
+    }
+
+    /// Mutable [`JobState::maps`], with the same panic.
+    pub fn maps_mut(&mut self) -> &mut PendingMaps {
+        self.maps.as_mut().expect(UNPLACED)
+    }
+
+    /// Pending map tasks. A job whose blocks are not placed yet has every
+    /// map pending.
+    pub fn pending_maps(&self) -> u32 {
+        self.maps
+            .as_ref()
+            .map_or(self.spec.num_maps(), PendingMaps::len)
+    }
+
+    /// Heap bytes of the block state: block replicas and offsets, the map
+    /// queue and its replica counts, and the reduce queue.
+    #[cfg(test)]
+    pub fn block_state_bytes(&self) -> usize {
+        use std::mem::size_of;
+        let maps = self.maps.as_ref().map_or(0, |m| {
+            m.blocks.machines.capacity() * size_of::<MachineId>()
+                + (m.blocks.offsets.capacity()
+                    + m.pending.capacity()
+                    + m.node_replicas.capacity()
+                    + m.rack_replicas.capacity())
+                    * size_of::<u32>()
+        });
+        maps + self.pending_reduces.capacity() * size_of::<u32>()
     }
 
     pub fn phase(&self) -> JobPhase {
@@ -395,6 +461,10 @@ impl JobState {
         }
         if self.is_complete() {
             self.finished_at = Some(now);
+            // Completion is final: nothing takes, returns or locates a
+            // task of a complete job again.
+            self.maps = Some(PendingMaps::default());
+            self.pending_reduces = VecDeque::new();
         }
         true
     }
@@ -424,7 +494,7 @@ impl JobState {
         debug_assert!(self.completed_maps > 0);
         self.completed_maps -= 1;
         if requeue {
-            self.maps.return_map(fleet, index);
+            self.maps_mut().return_map(fleet, index);
         }
     }
 }
@@ -444,6 +514,12 @@ mod tests {
             .unwrap()
     }
 
+    fn placed(spec: JobSpec, fleet: &Fleet, blocks: &[Block]) -> JobState {
+        let mut j = JobState::new(spec);
+        j.place(PendingMaps::new(fleet, blocks));
+        j
+    }
+
     fn job(num_maps: u32, num_reduces: u32) -> JobState {
         let spec = JobSpec::new(
             JobId(0),
@@ -459,7 +535,7 @@ mod tests {
                 replicas: vec![MachineId(i as usize % 8)],
             })
             .collect();
-        JobState::new(spec, PendingMaps::new(&fleet(), &blocks))
+        placed(spec, &fleet(), &blocks)
     }
 
     #[test]
@@ -503,13 +579,13 @@ mod tests {
         let f = fleet();
         let mut j = job(8, 0);
         // Machine 3's block is map index 3.
-        let (idx, loc) = j.maps.take_map_for(&f, MachineId(3)).unwrap();
+        let (idx, loc) = j.maps_mut().take_map_for(&f, MachineId(3)).unwrap();
         assert_eq!(idx, 3);
         assert_eq!(loc, Locality::NodeLocal);
-        assert_eq!(j.maps.len(), 7);
+        assert_eq!(j.maps().len(), 7);
         // Taking again for machine 3: block gone, next best is rack-local
         // (machines 0..3 are rack 0).
-        let (_, loc) = j.maps.take_map_for(&f, MachineId(3)).unwrap();
+        let (_, loc) = j.maps_mut().take_map_for(&f, MachineId(3)).unwrap();
         assert_eq!(loc, Locality::RackLocal);
     }
 
@@ -518,13 +594,13 @@ mod tests {
         let f = fleet();
         let j = job(8, 0);
         assert_eq!(
-            j.maps.best_map_locality(&f, MachineId(5)),
+            j.maps().best_map_locality(&f, MachineId(5)),
             Some(Locality::NodeLocal)
         );
         let empty = job(1, 0);
         // Machine 7 is in rack 1; block 0 lives on machine 0 (rack 0).
         assert_eq!(
-            empty.maps.best_map_locality(&f, MachineId(7)),
+            empty.maps().best_map_locality(&f, MachineId(7)),
             Some(Locality::Remote)
         );
     }
@@ -546,12 +622,12 @@ mod tests {
                 ],
             })
             .collect();
-        let mut j = JobState::new(spec, PendingMaps::new(&f, &blocks));
+        let mut j = placed(spec, &f, &blocks);
         let scan = |j: &JobState, machine: MachineId| {
-            j.maps
+            j.maps()
                 .pending()
                 .iter()
-                .map(|&idx| locality(&f, j.maps.replicas(idx), machine))
+                .map(|&idx| locality(&f, j.maps().replicas(idx), machine))
                 .min_by_key(|l| match l {
                     Locality::NodeLocal => 0,
                     Locality::RackLocal => 1,
@@ -561,30 +637,30 @@ mod tests {
         let check_all = |j: &JobState| {
             for m in 0..8 {
                 assert_eq!(
-                    j.maps.best_map_locality(&f, MachineId(m)),
+                    j.maps().best_map_locality(&f, MachineId(m)),
                     scan(j, MachineId(m))
                 );
             }
         };
         check_all(&j);
-        let (taken, loc) = j.maps.take_map_for(&f, MachineId(2)).unwrap();
+        let (taken, loc) = j.maps_mut().take_map_for(&f, MachineId(2)).unwrap();
         assert_eq!(loc, Locality::NodeLocal);
         check_all(&j);
-        j.maps.return_map(&f, taken);
+        j.maps_mut().return_map(&f, taken);
         check_all(&j);
-        while j.maps.take_map_for(&f, MachineId(0)).is_some() {
+        while j.maps_mut().take_map_for(&f, MachineId(0)).is_some() {
             check_all(&j);
         }
-        assert_eq!(j.maps.best_map_locality(&f, MachineId(0)), None);
+        assert_eq!(j.maps().best_map_locality(&f, MachineId(0)), None);
     }
 
     #[test]
     fn returned_tasks_are_reassignable() {
         let f = fleet();
         let mut j = job(2, 1);
-        let (idx, _) = j.maps.take_map_for(&f, MachineId(0)).unwrap();
-        j.maps.return_map(&f, idx);
-        assert_eq!(j.maps.len(), 2);
+        let (idx, _) = j.maps_mut().take_map_for(&f, MachineId(0)).unwrap();
+        j.maps_mut().return_map(&f, idx);
+        assert_eq!(j.maps().len(), 2);
         for i in 0..2 {
             j.note_task_started(SimTime::ZERO);
             j.note_task_completed(SimTime::from_secs(i), SlotKind::Map, i as u32);
@@ -598,13 +674,13 @@ mod tests {
     fn lost_map_outputs_revert_to_pending() {
         let f = fleet();
         let mut j = job(4, 2);
-        let (idx, _) = j.maps.take_map_for(&f, MachineId(0)).unwrap();
+        let (idx, _) = j.maps_mut().take_map_for(&f, MachineId(0)).unwrap();
         j.note_task_started(SimTime::ZERO);
         j.note_task_completed(SimTime::from_secs(1), SlotKind::Map, idx);
         assert_eq!(j.completed_maps, 1);
         j.lose_map_output(&f, idx, true);
         assert_eq!(j.completed_maps, 0);
-        assert_eq!(j.maps.len(), 4);
+        assert_eq!(j.maps().len(), 4);
         assert!(!j.is_task_finished(SlotKind::Map, idx));
         // Re-execution wins again.
         j.note_task_started(SimTime::from_secs(2));
@@ -615,22 +691,43 @@ mod tests {
     fn failed_attempts_release_the_running_count() {
         let f = fleet();
         let mut j = job(2, 0);
-        let (idx, _) = j.maps.take_map_for(&f, MachineId(0)).unwrap();
+        let (idx, _) = j.maps_mut().take_map_for(&f, MachineId(0)).unwrap();
         j.note_task_started(SimTime::ZERO);
         assert_eq!(j.running_tasks, 1);
         j.note_task_failed();
         assert_eq!(j.running_tasks, 0);
-        j.maps.return_map(&f, idx);
-        assert_eq!(j.maps.len(), 2);
+        j.maps_mut().return_map(&f, idx);
+        assert_eq!(j.maps().len(), 2);
         assert_eq!(j.phase(), JobPhase::Running);
+    }
+
+    #[test]
+    fn completion_releases_the_block_state() {
+        let f = fleet();
+        let mut j = job(3, 2);
+        while let Some((idx, _)) = j.maps_mut().take_map_for(&f, MachineId(0)) {
+            j.note_task_started(SimTime::ZERO);
+            j.note_task_completed(SimTime::from_secs(1), SlotKind::Map, idx);
+        }
+        while let Some(r) = j.take_reduce(1.0) {
+            j.note_task_started(SimTime::ZERO);
+            j.note_task_completed(SimTime::from_secs(2), SlotKind::Reduce, r);
+        }
+        assert!(j.is_complete());
+        assert_eq!(j.block_state_bytes(), 0);
+        assert_eq!(j.pending_maps(), 0);
+        // A speculative loser of the last task only reads the bits.
+        j.note_task_started(SimTime::from_secs(2));
+        assert!(!j.note_task_completed(SimTime::from_secs(3), SlotKind::Map, 0));
+        assert!(j.is_task_finished(SlotKind::Map, 0));
     }
 
     #[test]
     fn exhausted_maps_return_none() {
         let f = fleet();
         let mut j = job(1, 0);
-        assert!(j.maps.take_map_for(&f, MachineId(0)).is_some());
-        assert!(j.maps.take_map_for(&f, MachineId(0)).is_none());
-        assert_eq!(j.maps.best_map_locality(&f, MachineId(0)), None);
+        assert!(j.maps_mut().take_map_for(&f, MachineId(0)).is_some());
+        assert!(j.maps_mut().take_map_for(&f, MachineId(0)).is_none());
+        assert_eq!(j.maps().best_map_locality(&f, MachineId(0)), None);
     }
 }

@@ -28,7 +28,8 @@ pub trait ClusterQuery {
     /// The spec of a job (active or finished).
     fn job_spec(&self, job: JobId) -> Option<&JobSpec>;
     /// Locality the *best* pending map task of `job` would have on
-    /// `machine`, or `None` when the job has no pending maps.
+    /// `machine`, or `None` when the job has no pending maps or has not
+    /// been submitted yet (its input blocks are placed at submission).
     fn best_map_locality(&self, job: JobId, machine: MachineId) -> Option<Locality>;
     /// Total slots in the cluster (`S_pool` in Eq. 7 for a single-user
     /// system).

@@ -9,7 +9,6 @@
 //!   paper's fairness metric, the inverse variance of slowdowns (§VI-D).
 //! * [`report`] — fixed-width text tables and ASCII series used by the
 //!   experiment binaries to print every figure/table.
-//! * [`csv`] — CSV export of run results for external plotting.
 //! * [`emit`] — dependency-free canonical JSON serialization (and parsing)
 //!   of [`hadoop_sim::RunResult`] and trace documents, the comparison key
 //!   of the determinism and golden-value regression tests.
@@ -32,7 +31,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod csv;
 pub mod emit;
 pub mod energy;
 pub mod fairness;

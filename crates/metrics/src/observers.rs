@@ -46,6 +46,8 @@ pub struct StreamingRunStats {
     machine_failures: u64,
     map_outputs_lost: u64,
     machines_blacklisted: u64,
+    /// The first way the stream contradicted itself, if any.
+    inconsistency: Option<String>,
 }
 
 impl StreamingRunStats {
@@ -69,6 +71,7 @@ impl StreamingRunStats {
             machine_failures: 0,
             map_outputs_lost: 0,
             machines_blacklisted: 0,
+            inconsistency: None,
         }
     }
 
@@ -145,13 +148,33 @@ impl StreamingRunStats {
         self.submitted_at.get(&job).copied()
     }
 
+    /// The first way the stream contradicted itself, if any: a
+    /// `map_output_lost` with no won `task_completed` to roll back, or a
+    /// `run_finished` footer whose task count differs from the streamed
+    /// one. The fold never panics on such a stream; it records the defect
+    /// here and [`StreamingRunStats::matches`] reports it.
+    pub fn inconsistency(&self) -> Option<&str> {
+        self.inconsistency.as_deref()
+    }
+
+    /// Records `defect` unless an earlier one is already recorded.
+    fn note_inconsistency(&mut self, at: SimTime, defect: String) {
+        self.inconsistency
+            .get_or_insert_with(|| format!("at {at}: {defect}"));
+    }
+
     /// Checks every streamed aggregate against the post-hoc `RunResult` of
     /// the same run, bit for bit.
     ///
     /// # Errors
     ///
-    /// Returns a description of the first mismatching aggregate.
+    /// Returns the stream's [`inconsistency`](StreamingRunStats::inconsistency)
+    /// if it has one, else a description of the first mismatching
+    /// aggregate.
     pub fn matches(&self, run: &RunResult) -> Result<(), String> {
+        if let Some(defect) = &self.inconsistency {
+            return Err(format!("inconsistent stream: {defect}"));
+        }
         if self.drained != Some(run.drained) {
             return Err(format!(
                 "drained: streamed {:?}, post-hoc {}",
@@ -291,7 +314,13 @@ impl Observer<SimEvent> for StreamingRunStats {
                 // again. Mirror the engine's counter rollback so the net
                 // stays one per task.
                 self.map_outputs_lost += 1;
-                self.total_tasks -= 1;
+                match self.total_tasks.checked_sub(1) {
+                    Some(rest) => self.total_tasks = rest,
+                    None => self.note_inconsistency(
+                        at,
+                        "map_output_lost with no won task_completed to roll back".to_owned(),
+                    ),
+                }
             }
             SimEvent::MachineBlacklisted { .. } => {
                 self.machines_blacklisted += 1;
@@ -317,9 +346,15 @@ impl Observer<SimEvent> for StreamingRunStats {
                 self.makespan = Some(at - SimTime::ZERO);
                 self.total_energy_joules = *total_energy_joules;
                 self.drained = Some(*drained);
-                // Keep the streamed count: `matches` then cross-checks it
-                // against both the footer and the post-hoc result.
-                debug_assert_eq!(self.total_tasks, *total_tasks);
+                // Keep the streamed count: `matches` checks it against the
+                // post-hoc result, and a footer that disagrees is a defect.
+                if self.total_tasks != *total_tasks {
+                    let defect = format!(
+                        "streamed task count {} disagrees with the run_finished footer {}",
+                        self.total_tasks, total_tasks
+                    );
+                    self.note_inconsistency(at, defect);
+                }
             }
             _ => {}
         }
@@ -502,6 +537,56 @@ mod tests {
         assert_eq!(s.map_outputs_lost(), 1);
         assert_eq!(s.machines_blacklisted(), 1);
         assert_eq!(s.total_tasks(), 1);
+    }
+
+    #[test]
+    fn inconsistent_streams_are_recorded_not_panicked_on() {
+        let lost = SimEvent::MapOutputLost {
+            task: task(0, 0),
+            machine: MachineId(0),
+        };
+        let footer = |total_tasks| SimEvent::RunFinished {
+            drained: true,
+            total_energy_joules: 0.0,
+            total_tasks,
+        };
+        let mut s = StreamingRunStats::new(1);
+        s.on_event(SimTime::from_secs(1), &lost);
+        s.on_event(SimTime::from_secs(2), &footer(0));
+        assert_eq!(s.total_tasks(), 0);
+        let defect = s.inconsistency().expect("a loss before any win");
+        assert!(defect.contains("map_output_lost"), "{defect}");
+
+        // A real run folds consistently; a second footer that disagrees
+        // with the streamed count makes `matches` fail.
+        use hadoop_sim::trace::SharedObserver;
+        use hadoop_sim::{Engine, EngineConfig, GreedyScheduler};
+        use workload::{Benchmark, JobSpec};
+        let fleet = cluster::Fleet::builder()
+            .add(cluster::profiles::desktop(), 2)
+            .build()
+            .unwrap();
+        let mut engine = Engine::new(fleet, EngineConfig::default(), 7);
+        engine.submit_jobs(vec![JobSpec::new(
+            JobId(0),
+            Benchmark::wordcount(),
+            4,
+            1,
+            SimTime::ZERO,
+        )]);
+        let stats = SharedObserver::new(StreamingRunStats::new(2));
+        engine.attach_observer(Box::new(stats.clone()));
+        let run = engine.run(&mut GreedyScheduler::new());
+        let mut s = stats.with(|s| s.clone());
+        assert_eq!(s.matches(&run), Ok(()));
+        s.on_event(SimTime::ZERO + run.makespan, &footer(run.total_tasks + 1));
+        let defect = s.inconsistency().expect("a footer that disagrees");
+        assert!(
+            defect.contains("disagrees with the run_finished footer"),
+            "{defect}"
+        );
+        let err = s.matches(&run).unwrap_err();
+        assert!(err.starts_with("inconsistent stream"), "{err}");
     }
 
     #[test]

@@ -6,20 +6,23 @@
 //! consecutive runs. On top of that, the lazily-pulled stream must match
 //! an eagerly materialized oracle over the finite horizon — the engine
 //! never perturbs the stream's RNG, and no arrival inside the horizon is
-//! lost or reordered.
+//! lost or reordered. Likewise the blocks the engine places at each job's
+//! arrival must be the ones an eager placement in job-id order draws.
 
+use cluster::hdfs::{locality, Block, BlockId, BlockPlacer};
+use cluster::{profiles, Fleet, MachineId, SlotKind};
 use eant::EAntConfig;
 use experiments::common::{parallel_runs_with_workers, SchedulerKind};
 use experiments::scenario::{
     FleetSpec, ScenarioSpec, ServeSpec, ServeTolerance, Tolerance, WorkloadSpec,
 };
 use hadoop_sim::trace::{SharedObserver, VecRecorder};
-use hadoop_sim::{EngineConfig, RunResult, TaskReport};
+use hadoop_sim::{Engine, EngineConfig, GreedyScheduler, RunResult, StopCondition, TaskReport};
 use metrics::emit::{run_result_json, ToJson};
 use simcore::{SimDuration, SimRng, SimTime};
 use workload::arrival::{DiurnalPeak, DiurnalProfile, OpenArrival};
 use workload::open::{OpenJobTemplate, OpenStream, OpenStreamSpec};
-use workload::{BenchmarkKind, JobId, SizeClass};
+use workload::{Benchmark, BenchmarkKind, JobId, JobSpec, SizeClass};
 
 const WARMUP_S: u64 = 180;
 const MEASURE_S: u64 = 900;
@@ -216,6 +219,173 @@ fn lazy_stream_matches_eager_oracle_over_horizon() {
                 assert_eq!(out.total_tasks, exp.num_tasks(), "{label} seed {seed}");
             }
         }
+    }
+}
+
+/// One pre-registered job of a placement workload, with its explicit
+/// blocks when it is submitted through `submit_job_with_blocks`.
+type PlacementJob = (JobSpec, Option<Vec<Block>>);
+
+/// A pre-registered job arriving at `submit_s`; `explicit` gives map `i`
+/// the single replica `machine (3·id + i) mod 24`.
+fn placement_job(id: u64, maps: u32, submit_s: u64, explicit: bool) -> PlacementJob {
+    let spec = JobSpec::new(
+        JobId(id),
+        Benchmark::wordcount(),
+        maps,
+        1,
+        SimTime::ZERO + SimDuration::from_secs(submit_s),
+    );
+    let blocks = explicit.then(|| {
+        (0..maps as u64)
+            .map(|i| Block {
+                id: BlockId(i),
+                replicas: vec![MachineId(((3 * id + i) % 24) as usize)],
+            })
+            .collect()
+    });
+    (spec, blocks)
+}
+
+/// Runs `jobs`, then the open `stream` if any, under the greedy scheduler
+/// and checks every map report's locality against an eager oracle: blocks
+/// placed up front in job-id order from the engine's placement stream.
+/// Returns the run so the caller can check how it ended.
+fn assert_placement_matches_eager_oracle(
+    label: &str,
+    seed: u64,
+    jobs: Vec<PlacementJob>,
+    stream: Option<OpenStreamSpec>,
+    stop: StopCondition,
+) -> RunResult {
+    let fleet = Fleet::builder()
+        .add(profiles::desktop(), 12)
+        .add(profiles::xeon_e5(), 12)
+        .rack_size(6)
+        .build()
+        .unwrap();
+    let stream_rng = || SimRng::seed_from(seed).fork("serve");
+    let config = EngineConfig {
+        stop,
+        ..EngineConfig::default()
+    };
+    let mut engine = Engine::new(fleet.clone(), config, seed);
+    for (spec, blocks) in jobs.clone() {
+        match blocks {
+            Some(blocks) => engine.submit_job_with_blocks(spec, blocks),
+            None => engine.submit_jobs(vec![spec]),
+        }
+    }
+    if let Some(stream) = &stream {
+        engine.attach_open_stream(OpenStream::new(stream, 1.0, &mut stream_rng()));
+    }
+    let recorder: SharedObserver<VecRecorder<TaskReport>> = SharedObserver::new(VecRecorder::new());
+    engine.attach_report_observer(Box::new(recorder.clone()));
+    let result = engine.run(&mut GreedyScheduler::new());
+    drop(engine);
+    let reports: Vec<TaskReport> = recorder
+        .try_into_inner()
+        .unwrap_or_else(|_| panic!("engine dropped its observer handle"))
+        .into_events()
+        .into_iter()
+        .map(|(_, report)| report)
+        .filter(|report| report.kind == SlotKind::Map)
+        .collect();
+    assert!(!reports.is_empty(), "{label} seed {seed}: no map ran");
+
+    // The oracle: every job's blocks, placed eagerly in id order.
+    let mut specs: Vec<PlacementJob> = jobs;
+    if let Some(stream) = &stream {
+        let mut twin = OpenStream::new(stream, 1.0, &mut stream_rng());
+        let last = reports.iter().map(|r| r.task.job.index()).max().unwrap();
+        while specs.len() <= last {
+            specs.push((twin.next_job(JobId(specs.len() as u64)), None));
+        }
+    }
+    let mut rng = SimRng::seed_from(seed).fork("placement");
+    let mut placer = BlockPlacer::new(3);
+    let oracle: Vec<Vec<Vec<MachineId>>> = specs
+        .into_iter()
+        .map(|(spec, blocks)| {
+            blocks
+                .unwrap_or_else(|| placer.place(&fleet, spec.num_maps() as usize, &mut rng))
+                .into_iter()
+                .map(|block| block.replicas)
+                .collect()
+        })
+        .collect();
+    for report in &reports {
+        let replicas = &oracle[report.task.job.index()][report.task.task.index as usize];
+        assert_eq!(
+            report.locality,
+            Some(locality(&fleet, replicas, report.machine)),
+            "{label} seed {seed}: {:?} on {}",
+            report.task,
+            report.machine
+        );
+    }
+    result
+}
+
+/// Property: placing each job's blocks at its arrival draws the same
+/// layout as placing every job's blocks up front in job-id order —
+/// whatever order the jobs arrive in, with explicitly placed jobs among
+/// them, with an open stream behind pre-registered jobs, and when the
+/// horizon cuts before the last arrivals.
+#[test]
+fn lazy_placement_matches_eager_oracle() {
+    let horizon = StopCondition::Horizon {
+        warmup: SimDuration::from_secs(60),
+        measure: SimDuration::from_secs(600),
+    };
+    for seed in [1u64, 7, 2015] {
+        // Arrival order is the reverse of id order.
+        let reversed = (0..8)
+            .map(|id| placement_job(id, 6 + id as u32, (8 - id) * 40, false))
+            .collect();
+        let run = assert_placement_matches_eager_oracle(
+            "reversed",
+            seed,
+            reversed,
+            None,
+            StopCondition::Drain,
+        );
+        assert!(run.drained);
+
+        // Explicitly placed jobs interleaved with placed ones, arriving
+        // out of id order.
+        let interleaved = (0..8)
+            .map(|id| placement_job(id, 8, (id * 5 % 8) * 30, id % 2 == 1))
+            .collect();
+        let run = assert_placement_matches_eager_oracle(
+            "interleaved",
+            seed,
+            interleaved,
+            None,
+            StopCondition::Drain,
+        );
+        assert!(run.drained);
+
+        // Pre-registered jobs, some arriving after the stream's first
+        // jobs, with an open stream continuing the ids.
+        let mixed = [0, 400, 30, 500, 120]
+            .iter()
+            .enumerate()
+            .map(|(id, &at)| placement_job(id as u64, 10, at, id == 2))
+            .collect();
+        let stream = stream_spec("poisson", OpenArrival::Poisson { rate_per_min: 3.0 });
+        assert_placement_matches_eager_oracle("mixed", seed, mixed, Some(stream), horizon);
+
+        // The horizon (660 s) cuts before jobs 2 and 6 arrive. Job 2 is
+        // placed anyway, in id order, when job 3 arrives; job 6 never is.
+        let cut = (0..7)
+            .map(|id| {
+                let at = if id == 2 || id == 6 { 5_000 } else { id * 60 };
+                placement_job(id, 8, at, false)
+            })
+            .collect();
+        let run = assert_placement_matches_eager_oracle("cut", seed, cut, None, horizon);
+        assert!(!run.drained);
     }
 }
 
