@@ -702,3 +702,67 @@ fn streamed_run_json_matches_tree_oracle() {
         assert_eq!(run_result_json(run), oracle_json(run).render(), "{what}");
     }
 }
+
+/// Exact FNV-1a 64 digests of the canonical result JSON of fast E-Ant
+/// runs under every [`eant::ExchangeStrategy`], each with negative
+/// feedback on and off, plus one faulted run whose crashes and
+/// blacklisting decay individual machines' pheromone trails. The E-Ant
+/// row of `summary_metrics_match_goldens` covers only the default
+/// configuration; these pin the learning arithmetic of every variant to
+/// the byte. Re-derive with `--nocapture`: each observed row prints.
+#[test]
+fn eant_variant_digests_are_pinned() {
+    use eant::ExchangeStrategy;
+    use hadoop_sim::FaultConfig;
+
+    let table: &[(ExchangeStrategy, bool, u64)] = &[
+        (ExchangeStrategy::None, true, 0xcdcf05c68bd926ac),
+        (ExchangeStrategy::None, false, 0xf7c830f62e689156),
+        (ExchangeStrategy::MachineLevel, true, 0xbe463a3b0d6deb98),
+        (ExchangeStrategy::MachineLevel, false, 0xf84b4e655ee5e66d),
+        (ExchangeStrategy::JobLevel, true, 0x829f9f52bf64b735),
+        (ExchangeStrategy::JobLevel, false, 0x036887dea02b9810),
+        (ExchangeStrategy::Both, true, 0x76bab4fdc3cc5421),
+        (ExchangeStrategy::Both, false, 0xf84b4e655ee5e66d),
+    ];
+    let eant = |exchange, negative_feedback| {
+        SchedulerKind::EAnt(EAntConfig {
+            exchange,
+            negative_feedback,
+            ..EAntConfig::paper_default()
+        })
+    };
+    let mut observed = Vec::new();
+    for exchange in [
+        ExchangeStrategy::None,
+        ExchangeStrategy::MachineLevel,
+        ExchangeStrategy::JobLevel,
+        ExchangeStrategy::Both,
+    ] {
+        for negative_feedback in [true, false] {
+            let r = Scenario::fast(2015).run(&eant(exchange, negative_feedback));
+            assert!(
+                r.drained,
+                "{exchange:?}/{negative_feedback} failed to drain"
+            );
+            let digest = fnv1a_64(run_result_json(&r).as_bytes());
+            println!("(ExchangeStrategy::{exchange:?}, {negative_feedback}, {digest:#018x}),");
+            observed.push((exchange, negative_feedback, digest));
+        }
+    }
+    assert_eq!(observed, table, "E-Ant variant digests drifted");
+
+    let mut faulted = Scenario::fast(2015);
+    faulted.engine.fault = FaultConfig {
+        task_failure_prob: 0.05,
+        blacklist_threshold: 3,
+        ..FaultConfig::moderate()
+    };
+    let r = faulted.run(&SchedulerKind::EAnt(EAntConfig::paper_default()));
+    assert!(r.drained, "faulted E-Ant run failed to drain");
+    assert!(r.machine_failures > 0, "no machine crashed");
+    assert!(r.machines_blacklisted > 0, "no machine was blacklisted");
+    let digest = fnv1a_64(run_result_json(&r).as_bytes());
+    println!("faulted: {digest:#018x}");
+    assert_eq!(digest, 0x9c5f39eba069e887, "faulted E-Ant digest drifted");
+}
