@@ -63,7 +63,7 @@ fn main() {
             for r in &recs {
                 analyzer.record(r.clone());
             }
-            black_box(analyzer.compute(&groups, ExchangeStrategy::Both))
+            black_box(analyzer.compute(&groups, &groups, ExchangeStrategy::Both))
         });
     }
 

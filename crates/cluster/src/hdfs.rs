@@ -6,6 +6,8 @@
 //! locality term (Eq. 7, Fig. 6). This module provides the placement policy
 //! (rack-aware, 3-way replication like stock HDFS) and the locality query.
 
+use std::borrow::Borrow;
+
 use simcore::SimRng;
 
 use crate::{Fleet, MachineId};
@@ -221,12 +223,20 @@ fn nth_free(lo: usize, k: usize, taken: &[MachineId]) -> usize {
 }
 
 /// The locality level of running a task on `machine` for a block whose
-/// replicas live on `replicas`.
-pub fn locality(fleet: &Fleet, replicas: &[MachineId], machine: MachineId) -> Locality {
-    if replicas.contains(&machine) {
+/// replicas live on `replicas` (a slice of ids, or any iterator of them).
+/// The rack scan reads `machine`'s rack once, not once per replica.
+pub fn locality<R, I>(fleet: &Fleet, replicas: I, machine: MachineId) -> Locality
+where
+    R: Borrow<MachineId>,
+    I: IntoIterator<Item = R>,
+    I::IntoIter: Clone,
+{
+    let mut replicas = replicas.into_iter();
+    if replicas.clone().any(|r| *r.borrow() == machine) {
         return Locality::NodeLocal;
     }
-    if replicas.iter().any(|&r| fleet.same_rack(r, machine)) {
+    let rack = fleet.rack_of(machine).ok();
+    if rack.is_some() && replicas.any(|r| fleet.rack_of(*r.borrow()).ok() == rack) {
         return Locality::RackLocal;
     }
     Locality::Remote
@@ -397,19 +407,19 @@ mod tests {
         let fleet = two_rack_fleet(); // racks: {0..3}, {4..7}
         let replicas = [MachineId(0), MachineId(4)];
         assert_eq!(
-            locality(&fleet, &replicas, MachineId(0)),
+            locality(&fleet, replicas, MachineId(0)),
             Locality::NodeLocal
         );
         assert_eq!(
-            locality(&fleet, &replicas, MachineId(1)),
+            locality(&fleet, replicas, MachineId(1)),
             Locality::RackLocal
         );
         assert_eq!(
-            locality(&fleet, &replicas, MachineId(5)),
+            locality(&fleet, replicas, MachineId(5)),
             Locality::RackLocal
         );
         assert_eq!(
-            locality(&fleet, &[MachineId(0)], MachineId(5)),
+            locality(&fleet, [MachineId(0)], MachineId(5)),
             Locality::Remote
         );
     }

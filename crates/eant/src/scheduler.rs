@@ -93,14 +93,21 @@ impl EAntScheduler {
         }
         let fleet = query.fleet();
         let n = fleet.len();
-        self.pheromones = Some(PheromoneTable::new(
-            n,
+        self.machine_groups = fleet.group_index();
+        // Machine-level exchange gives every member of a homogeneous group
+        // the same deposit, so the group's machines share one τ column.
+        let columns = if self.config.exchange.machine_level() {
+            self.machine_groups.clone()
+        } else {
+            (0..n).collect()
+        };
+        self.pheromones = Some(PheromoneTable::with_columns(
+            columns,
             self.config.tau_init,
             self.config.tau_min,
             self.config.tau_max,
         ));
         self.analyzer = Some(TaskAnalyzer::new(n));
-        self.machine_groups = fleet.group_index();
         self.machine_profiles = fleet
             .iter()
             .map(|m| m.profile().name().to_owned())
@@ -352,7 +359,11 @@ impl Scheduler for EAntScheduler {
             self.snapshot_policy(query);
             return;
         }
-        let feedback = analyzer.compute(&self.machine_groups, self.config.exchange);
+        let feedback = analyzer.compute(
+            &self.machine_groups,
+            pheromones.column_of(),
+            self.config.exchange,
+        );
         pheromones.apply_deposits(
             &feedback.deposits,
             self.config.rho,

@@ -22,11 +22,12 @@ pub enum JobPhase {
 }
 
 /// The input-block replicas of every map task of one job, packed into one
-/// allocation rather than one per block. The default holds no block and
-/// no allocation: the state of a job whose blocks were released.
+/// allocation rather than one per block, as 32-bit machine indices. The
+/// default holds no block and no allocation: the state of a job whose
+/// blocks were released.
 #[derive(Debug, Clone, Default)]
 struct BlockReplicas {
-    machines: Vec<MachineId>,
+    machines: Vec<u32>,
     /// Map `i`'s replicas are `machines[offsets[i]..offsets[i + 1]]`.
     offsets: Vec<u32>,
 }
@@ -41,8 +42,13 @@ impl BlockReplicas {
         }
     }
 
-    /// Closes the block whose replicas were appended since the last one.
-    fn end_block(&mut self) {
+    /// Appends one block's replicas.
+    fn push_block(&mut self, replicas: &[MachineId]) {
+        self.machines.extend(
+            replicas
+                .iter()
+                .map(|m| u32::try_from(m.index()).expect("machine indices fit u32")),
+        );
         let end = u32::try_from(self.machines.len()).expect("a job's replicas fit u32 offsets");
         self.offsets.push(end);
     }
@@ -50,10 +56,13 @@ impl BlockReplicas {
     /// Places `maps` blocks with `placer`, one per map task.
     fn place(fleet: &Fleet, maps: u32, placer: &mut BlockPlacer, rng: &mut SimRng) -> Self {
         let maps = maps as usize;
-        let mut packed = Self::with_capacity(maps, maps * placer.replication().min(fleet.len()));
+        let replication = placer.replication().min(fleet.len());
+        let mut packed = Self::with_capacity(maps, maps * replication);
+        let mut block = Vec::with_capacity(replication);
         for _ in 0..maps {
-            placer.place_into(fleet, rng, &mut packed.machines);
-            packed.end_block();
+            block.clear();
+            placer.place_into(fleet, rng, &mut block);
+            packed.push_block(&block);
         }
         packed
     }
@@ -63,8 +72,7 @@ impl BlockReplicas {
         let replicas = blocks.iter().map(|b| b.replicas.len()).sum();
         let mut packed = Self::with_capacity(blocks.len(), replicas);
         for block in blocks {
-            packed.machines.extend_from_slice(&block.replicas);
-            packed.end_block();
+            packed.push_block(&block.replicas);
         }
         packed
     }
@@ -74,11 +82,16 @@ impl BlockReplicas {
         self.offsets.len().saturating_sub(1)
     }
 
-    /// The machines holding map `index`'s input block.
-    fn get(&self, index: u32) -> &[MachineId] {
+    /// The machine indices holding map `index`'s input block.
+    fn get(&self, index: u32) -> &[u32] {
         let i = index as usize;
         &self.machines[self.offsets[i] as usize..self.offsets[i + 1] as usize]
     }
+}
+
+/// The machines of packed replica indices.
+fn machine_ids(replicas: &[u32]) -> impl ExactSizeIterator<Item = MachineId> + Clone + '_ {
+    replicas.iter().map(|&m| MachineId(m as usize))
 }
 
 /// One bit per task index of one slot kind.
@@ -196,10 +209,11 @@ impl PendingMaps {
         for (i, &replica) in replicas.iter().enumerate() {
             let prior = &replicas[..i];
             if !prior.contains(&replica) {
-                bump(&mut self.node_replicas[replica.index()]);
+                bump(&mut self.node_replicas[replica as usize]);
             }
+            let replica = MachineId(replica as usize);
             if let Ok(rack) = fleet.rack_of(replica) {
-                if !prior.iter().any(|&r| fleet.same_rack(r, replica)) {
+                if locality(fleet, machine_ids(prior), replica) == Locality::Remote {
                     bump(&mut self.rack_replicas[rack.0]);
                 }
             }
@@ -222,8 +236,8 @@ impl PendingMaps {
     }
 
     /// The machines holding map `index`'s input block.
-    pub fn replicas(&self, index: u32) -> &[MachineId] {
-        self.blocks.get(index)
+    pub fn replicas(&self, index: u32) -> impl ExactSizeIterator<Item = MachineId> + Clone + '_ {
+        machine_ids(self.blocks.get(index))
     }
 
     /// The best locality any pending map task would have on `machine`, or
@@ -270,7 +284,7 @@ impl PendingMaps {
             class => self
                 .pending
                 .iter()
-                .position(|&idx| locality(fleet, self.blocks.get(idx), machine) == class)
+                .position(|&idx| locality(fleet, self.replicas(idx), machine) == class)
                 .expect("replica counts name a pending block"),
         };
         let idx = self.pending.swap_remove(best_pos);
@@ -381,12 +395,12 @@ impl JobState {
     pub fn block_state_bytes(&self) -> usize {
         use std::mem::size_of;
         let maps = self.maps.as_ref().map_or(0, |m| {
-            m.blocks.machines.capacity() * size_of::<MachineId>()
-                + (m.blocks.offsets.capacity()
-                    + m.pending.capacity()
-                    + m.node_replicas.capacity()
-                    + m.rack_replicas.capacity())
-                    * size_of::<u32>()
+            (m.blocks.machines.capacity()
+                + m.blocks.offsets.capacity()
+                + m.pending.capacity()
+                + m.node_replicas.capacity()
+                + m.rack_replicas.capacity())
+                * size_of::<u32>()
         });
         maps + self.pending_reduces.capacity() * size_of::<u32>()
     }

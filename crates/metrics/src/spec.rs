@@ -370,9 +370,13 @@ fn locate_path(input: &str, path: &str) -> Option<usize> {
     found
 }
 
-/// The 1-based line number and full line containing byte `pos`.
+/// The 1-based line number and full line containing byte `pos`. A `pos`
+/// inside a multi-byte character counts as that character's start.
 fn line_at(input: &str, pos: usize) -> (usize, &str) {
-    let pos = pos.min(input.len());
+    let mut pos = pos.min(input.len());
+    while !input.is_char_boundary(pos) {
+        pos -= 1;
+    }
     let line_no = input[..pos].bytes().filter(|&b| b == b'\n').count() + 1;
     let start = input[..pos].rfind('\n').map_or(0, |i| i + 1);
     let end = input[start..].find('\n').map_or(input.len(), |i| start + i);
@@ -465,6 +469,17 @@ mod tests {
         let msg = syntax_context(input, &err);
         assert!(msg.starts_with("line 3: "), "{msg}");
         assert!(msg.contains("offending line: }"), "{msg}");
+    }
+
+    #[test]
+    fn syntax_context_survives_a_multibyte_last_char() {
+        // The parser reports the end of input, one byte past the
+        // two-byte 'é' the document ends in.
+        let input = "{\n\"name\": \"é";
+        let err = JsonValue::parse(input).unwrap_err();
+        let msg = syntax_context(input, &err);
+        assert!(msg.starts_with("line 2: "), "{msg}");
+        assert!(msg.contains("offending line: \"name\": \"é"), "{msg}");
     }
 
     #[test]

@@ -137,7 +137,8 @@ fn machine_exchange_reduces_deposit_variance_across_homogeneous_machines() {
         for r in records(23) {
             analyzer.record(r);
         }
-        let fb = analyzer.compute(&[0, 0, 0, 0], exchange);
+        // One τ column per machine, so each row keeps a value per machine.
+        let fb = analyzer.compute(&[0, 0, 0, 0], &[0, 1, 2, 3], exchange);
         let row = &fb.deposits[&JobId(0)];
         let mut stats = OnlineStats::new();
         for &v in row {

@@ -546,10 +546,315 @@ fn analyzer_deposits_are_nonnegative() {
                 energy_joules: e,
             });
         }
-        let fb = analyzer.compute(&[0, 0, 1, 1], exchange);
+        let fb = analyzer.compute(&[0, 0, 1, 1], &[0, 1, 2, 3], exchange);
         assert_eq!(fb.tasks_analyzed, energies.len());
         for row in fb.deposits.values() {
             assert!(row.iter().all(|&v| v >= 0.0 && v.is_finite()));
+        }
+    });
+}
+
+/// The dense E-Ant learning arithmetic — one τ and one deposit per machine,
+/// the analyzer's records in one arrival-ordered buffer — kept as the
+/// reference [`PheromoneTable`] and [`TaskAnalyzer`] must reproduce bit for
+/// bit while they store one value per τ column.
+mod dense {
+    use std::collections::BTreeMap;
+
+    use eant::{ExchangeStrategy, TaskEnergyRecord};
+    use workload::{GroupId, JobId};
+
+    /// Eq. 4–6 over a job × machine matrix; each row carries its sum.
+    pub struct Table {
+        pub machines: usize,
+        pub tau_init: f64,
+        pub tau_min: f64,
+        pub tau_max: f64,
+        pub rows: BTreeMap<JobId, (Vec<f64>, f64)>,
+    }
+
+    impl Table {
+        pub fn ensure_job(&mut self, job: JobId) {
+            let tau = vec![self.tau_init; self.machines];
+            self.rows.entry(job).or_insert_with(|| {
+                let sum = tau.iter().sum();
+                (tau, sum)
+            });
+        }
+
+        pub fn get(&self, job: JobId, machine: usize) -> f64 {
+            match self.rows.get(&job) {
+                Some((tau, _)) => tau.get(machine).copied().unwrap_or(self.tau_min),
+                None => self.tau_init,
+            }
+        }
+
+        pub fn probability(&self, job: JobId, machine: usize) -> f64 {
+            match self.rows.get(&job) {
+                Some((tau, sum)) => tau[machine] / sum,
+                None => 1.0 / self.machines as f64,
+            }
+        }
+
+        pub fn apply_deposits(
+            &mut self,
+            deposits: &BTreeMap<JobId, Vec<f64>>,
+            rho: f64,
+            negative_feedback: bool,
+        ) {
+            for &job in deposits.keys() {
+                self.ensure_job(job);
+            }
+            let mut totals = vec![0.0; self.machines];
+            let mut depositors = vec![0u32; self.machines];
+            if negative_feedback {
+                for d in deposits.values() {
+                    for (m, &v) in d.iter().enumerate() {
+                        totals[m] += v;
+                        if v > 0.0 {
+                            depositors[m] += 1;
+                        }
+                    }
+                }
+            }
+            let zero = vec![0.0; self.machines];
+            for (job, (tau, sum)) in &mut self.rows {
+                let own = deposits.get(job).unwrap_or(&zero);
+                for (m, t) in tau.iter_mut().enumerate() {
+                    let foreign = if negative_feedback {
+                        let others = depositors[m] - u32::from(own[m] > 0.0);
+                        if others > 0 {
+                            (totals[m] - own[m]) / others as f64
+                        } else {
+                            0.0
+                        }
+                    } else {
+                        0.0
+                    };
+                    let delta = own[m] - foreign;
+                    *t = ((1.0 - rho) * *t + rho * delta).clamp(self.tau_min, self.tau_max);
+                }
+                *sum = tau.iter().sum();
+            }
+        }
+
+        pub fn evaporate(&mut self, rho: f64) {
+            for (tau, sum) in self.rows.values_mut() {
+                for t in tau.iter_mut() {
+                    *t = ((1.0 - rho) * *t).max(self.tau_min);
+                }
+                *sum = tau.iter().sum();
+            }
+        }
+
+        pub fn evaporate_machine(&mut self, m: usize, rho: f64) {
+            if m >= self.machines {
+                return;
+            }
+            for (tau, sum) in self.rows.values_mut() {
+                tau[m] = ((1.0 - rho) * tau[m]).max(self.tau_min);
+                *sum = tau.iter().sum();
+            }
+        }
+    }
+
+    /// Eq. 5 deposits with the §IV-D exchange, one value per machine.
+    pub fn compute(
+        records: &[TaskEnergyRecord],
+        machine_groups: &[usize],
+        exchange: ExchangeStrategy,
+    ) -> (BTreeMap<JobId, Vec<f64>>, BTreeMap<JobId, f64>) {
+        let machines = machine_groups.len();
+        let mut job_sum: BTreeMap<JobId, (f64, usize)> = BTreeMap::new();
+        let mut job_group: BTreeMap<JobId, GroupId> = BTreeMap::new();
+        for r in records {
+            let e = job_sum.entry(r.job).or_insert((0.0, 0));
+            e.0 += r.energy_joules;
+            e.1 += 1;
+            job_group.entry(r.job).or_insert(r.group);
+        }
+        let means: BTreeMap<JobId, f64> = job_sum
+            .iter()
+            .map(|(&j, &(sum, n))| (j, sum / n as f64))
+            .collect();
+        let mut deposits: BTreeMap<JobId, Vec<f64>> = BTreeMap::new();
+        for r in records {
+            let row = deposits.entry(r.job).or_insert_with(|| vec![0.0; machines]);
+            row[r.machine.index()] += means[&r.job] / r.energy_joules;
+        }
+        if exchange.machine_level() {
+            let groups = machine_groups.iter().max().map_or(0, |g| g + 1);
+            for row in deposits.values_mut() {
+                let mut sums = vec![0.0; groups];
+                let mut counts = vec![0usize; groups];
+                for (m, &v) in row.iter().enumerate() {
+                    sums[machine_groups[m]] += v;
+                    counts[machine_groups[m]] += 1;
+                }
+                for (m, v) in row.iter_mut().enumerate() {
+                    let g = machine_groups[m];
+                    *v = sums[g] / counts[g] as f64;
+                }
+            }
+        }
+        if exchange.job_level() {
+            let mut group_rows: BTreeMap<GroupId, (Vec<f64>, usize)> = BTreeMap::new();
+            for (job, row) in &deposits {
+                let entry = group_rows
+                    .entry(job_group[job])
+                    .or_insert_with(|| (vec![0.0; machines], 0));
+                for (m, &v) in row.iter().enumerate() {
+                    entry.0[m] += v;
+                }
+                entry.1 += 1;
+            }
+            let averaged: BTreeMap<GroupId, Vec<f64>> = group_rows
+                .into_iter()
+                .map(|(g, (sum, n))| (g, sum.into_iter().map(|v| v / n as f64).collect()))
+                .collect();
+            for (job, row) in &mut deposits {
+                let avg = &averaged[&job_group[job]];
+                for (m, v) in row.iter_mut().enumerate() {
+                    *v = 0.5 * *v + 0.5 * avg[m];
+                }
+            }
+        }
+        (deposits, means)
+    }
+}
+
+/// [`PheromoneTable`] and [`TaskAnalyzer`], which keep one τ and one
+/// deposit per column, reproduce the dense per-machine arithmetic to the
+/// bit: random fleets (singleton groups included), every exchange
+/// strategy, negative feedback on and off, discarded machines and
+/// per-machine decay (which splits shared columns), over several control
+/// intervals. Compared with `to_bits`: every deposit expanded to its
+/// machines, τ and the Eq. 3 probability of every (job, machine) path.
+#[test]
+fn column_learning_matches_dense_oracle() {
+    check("column_learning_matches_dense_oracle", 256, |rng| {
+        let machines = rng.uniform_u64(1, 24) as usize;
+        // Random group labels, renumbered in first-appearance order like
+        // `Fleet::group_index`.
+        let labels = rng.uniform_u64(1, machines as u64);
+        let mut renumber = BTreeMap::new();
+        let groups: Vec<usize> = (0..machines)
+            .map(|_| {
+                let label = rng.uniform_u64(0, labels - 1);
+                let next = renumber.len();
+                *renumber.entry(label).or_insert(next)
+            })
+            .collect();
+        let exchange = [
+            ExchangeStrategy::None,
+            ExchangeStrategy::MachineLevel,
+            ExchangeStrategy::JobLevel,
+            ExchangeStrategy::Both,
+        ][rng.uniform_u64(0, 3) as usize];
+        let negative = rng.chance(0.5);
+        let rho = rng.uniform_range(0.05, 1.0);
+        let tau_max = rng.uniform_range(1.5, 50.0);
+        let columns = if exchange.machine_level() {
+            groups.clone()
+        } else {
+            (0..machines).collect()
+        };
+        let mut table = PheromoneTable::with_columns(columns, 1.0, 0.05, tau_max);
+        let mut analyzer = TaskAnalyzer::new(machines);
+        let mut oracle = dense::Table {
+            machines,
+            tau_init: 1.0,
+            tau_min: 0.05,
+            tau_max,
+            rows: BTreeMap::new(),
+        };
+        let mut buffer: Vec<TaskEnergyRecord> = Vec::new();
+        let jobs = rng.uniform_u64(1, 8);
+        for interval in 0..6 {
+            for _ in 0..rng.uniform_u64(0, 3) {
+                let job = JobId(rng.uniform_u64(0, jobs - 1));
+                if rng.chance(0.7) {
+                    table.ensure_job(job);
+                    oracle.ensure_job(job);
+                } else {
+                    table.remove_job(job);
+                    oracle.rows.remove(&job);
+                }
+            }
+            for _ in 0..rng.uniform_u64(0, 40) {
+                let job = rng.uniform_u64(0, jobs - 1);
+                let energy = if rng.chance(0.05) {
+                    [0.0, -3.0, f64::NAN, f64::INFINITY][rng.uniform_u64(0, 3) as usize]
+                } else {
+                    rng.uniform_range(1.0, 1.0e4)
+                };
+                let record = TaskEnergyRecord {
+                    job: JobId(job),
+                    group: GroupId((job % 3) as u32),
+                    machine: MachineId(rng.uniform_u64(0, machines as u64 - 1) as usize),
+                    energy_joules: energy,
+                };
+                if energy.is_finite() && energy > 0.0 {
+                    buffer.push(record.clone());
+                }
+                analyzer.record(record);
+            }
+            for _ in 0..rng.uniform_u64(0, 2) {
+                let m = MachineId(rng.uniform_u64(0, machines as u64) as usize);
+                analyzer.discard_machine(m);
+                buffer.retain(|r| r.machine != m);
+            }
+            assert_eq!(analyzer.len(), buffer.len(), "interval {interval}");
+            if buffer.is_empty() {
+                table.evaporate(rho);
+                oracle.evaporate(rho);
+            } else {
+                let fb = analyzer.compute(&groups, table.column_of(), exchange);
+                let (deposits, means) = dense::compute(&buffer, &groups, exchange);
+                assert_eq!(fb.tasks_analyzed, buffer.len());
+                buffer.clear();
+                assert_eq!(
+                    fb.deposits.keys().collect::<Vec<_>>(),
+                    deposits.keys().collect::<Vec<_>>()
+                );
+                for (job, row) in &deposits {
+                    let columns = &fb.deposits[job];
+                    assert_eq!(columns.len(), table.columns());
+                    for (m, &v) in row.iter().enumerate() {
+                        let c = table.column_of()[m];
+                        assert_eq!(
+                            columns[c].to_bits(),
+                            v.to_bits(),
+                            "interval {interval}: deposit of {job:?} on machine {m}"
+                        );
+                    }
+                    assert_eq!(fb.mean_energy_per_job[job].to_bits(), means[job].to_bits());
+                }
+                table.apply_deposits(&fb.deposits, rho, negative);
+                oracle.apply_deposits(&deposits, rho, negative);
+            }
+            for _ in 0..rng.uniform_u64(0, 3) {
+                let m = rng.uniform_u64(0, machines as u64) as usize;
+                table.evaporate_machine(MachineId(m), rho);
+                oracle.evaporate_machine(m, rho);
+            }
+            assert_eq!(table.jobs(), oracle.rows.len());
+            for job in (0..jobs + 1).map(JobId) {
+                for m in 0..=machines {
+                    assert_eq!(
+                        table.get(job, MachineId(m)).to_bits(),
+                        oracle.get(job, m).to_bits(),
+                        "interval {interval}: τ of {job:?} on machine {m}"
+                    );
+                    if m < machines {
+                        assert_eq!(
+                            table.probability(job, MachineId(m)).to_bits(),
+                            oracle.probability(job, m).to_bits(),
+                            "interval {interval}: P of {job:?} on machine {m}"
+                        );
+                    }
+                }
+            }
         }
     });
 }
@@ -1385,5 +1690,159 @@ fn scenario_spec_round_trips_byte_identically() {
             first,
             "emit ∘ parse ∘ emit is not byte-stable"
         );
+    });
+}
+
+/// Applies one to four random edits to `bytes`: overwrite, insert or
+/// delete a byte, truncate, duplicate a span, or splice in a token that
+/// stresses a JSON reader (extreme numbers, escapes, stray structure).
+fn mutate(rng: &mut SimRng, bytes: &mut Vec<u8>) {
+    const BYTES: &[u8] = b"\"\\{}[],:-+.eE0u9 nt\x00\x1f\x7f\xc3\xe2\xf0\xff";
+    const TOKENS: &[&str] = &[
+        "18446744073709551616",
+        "18446744073709551615",
+        "4294967296",
+        "-1",
+        "1e999",
+        "-0",
+        "0.5",
+        "null",
+        "true",
+        "\"map\"",
+        "\\ud800",
+        "\\udc00",
+        "\\u00e9",
+        "\\uzzzz",
+        "{}",
+        "[]",
+        "[[[[",
+        "\"\":",
+    ];
+    for _ in 0..rng.uniform_u64(1, 4) {
+        let at = rng.uniform_u64(0, bytes.len() as u64) as usize;
+        let byte = if rng.chance(0.5) {
+            BYTES[rng.uniform_u64(0, BYTES.len() as u64 - 1) as usize]
+        } else {
+            rng.uniform_u64(0, 255) as u8
+        };
+        match rng.uniform_u64(0, 5) {
+            0 if at < bytes.len() => bytes[at] = byte,
+            1 => bytes.insert(at, byte),
+            2 if at < bytes.len() => {
+                bytes.remove(at);
+            }
+            3 => bytes.truncate(at),
+            4 => {
+                let end = (at + rng.uniform_u64(1, 16) as usize).min(bytes.len());
+                let span = bytes[at..end].to_vec();
+                bytes.splice(at..at, span);
+            }
+            _ => {
+                let token = TOKENS[rng.uniform_u64(0, TOKENS.len() as u64 - 1) as usize];
+                bytes.splice(at..at, token.bytes());
+            }
+        }
+    }
+}
+
+/// [`JsonValue::parse`] returns `Ok` or `Err` — never panics — on byte
+/// mutations of documents that exercise every JSON construct it reads.
+#[test]
+fn json_parse_survives_byte_mutation() {
+    use metrics::emit::JsonValue;
+
+    const CORPUS: &[&str] = &[
+        r#"{"a":[1,2.5,null,true,false],"b":{"c":"d\"e\\f\/g\b\f\n\r\t"},"e":-0.5e-3}"#,
+        r#"["é😀A", 18446744073709551615, -12, 1E+2, {}, []]"#,
+        r#" { "nested" : [ [ { "x" : [ ] } ] ] , "k" : "é漢😀" } "#,
+        r#"{"at":0,"type":"run_finished","drained":true,"total_energy_joules":1.5,"total_tasks":3}"#,
+    ];
+    check("json_parse_survives_byte_mutation", 4096, |rng| {
+        let mut bytes = CORPUS[rng.uniform_u64(0, CORPUS.len() as u64 - 1) as usize]
+            .as_bytes()
+            .to_vec();
+        mutate(rng, &mut bytes);
+        let text = String::from_utf8_lossy(&bytes);
+        if let Ok(value) = JsonValue::parse(&text) {
+            // Whatever parses renders back to a document that parses.
+            assert!(JsonValue::parse(&value.render()).is_ok(), "{text}");
+        }
+    });
+}
+
+/// [`experiments::scenario::ScenarioSpec::parse`] returns `Ok` or `Err` —
+/// never panics — on byte mutations of every committed scenario file,
+/// including the error rendering that quotes the offending line.
+#[test]
+fn scenario_spec_parse_survives_byte_mutation() {
+    use experiments::scenario::{library_dir, ScenarioSpec};
+
+    let mut corpus: Vec<String> = std::fs::read_dir(library_dir())
+        .expect("scenarios/ exists")
+        .map(|e| std::fs::read_to_string(e.expect("readable dir entry").path()).expect("UTF-8"))
+        .collect();
+    corpus.sort();
+    check("scenario_spec_parse_survives_byte_mutation", 2048, |rng| {
+        let mut bytes = corpus[rng.uniform_u64(0, corpus.len() as u64 - 1) as usize]
+            .as_bytes()
+            .to_vec();
+        mutate(rng, &mut bytes);
+        let _ = ScenarioSpec::parse(&String::from_utf8_lossy(&bytes));
+    });
+}
+
+/// [`metrics::trace::parse_trace_line`] returns `Ok` or `Err` — never
+/// panics — on byte mutations of every event kind a faulted, speculating,
+/// power-managed run with decision tracing writes.
+#[test]
+fn trace_line_parse_survives_byte_mutation() {
+    use eant::EAntConfig;
+    use experiments::common::{Scenario, SchedulerKind};
+    use hadoop_sim::trace::SharedObserver;
+    use hadoop_sim::{DvfsConfig, FaultConfig};
+    use metrics::trace::{parse_trace_line, JsonlTraceSink};
+    use simcore::SimDuration;
+    use workload::msd::MsdConfig;
+
+    let mut scenario = Scenario::fast(7);
+    scenario.msd = MsdConfig {
+        num_jobs: 6,
+        task_scale: 32,
+        submission_window: SimDuration::from_mins(3),
+    };
+    scenario.engine.speculation = SpeculationPolicy::Late;
+    scenario.engine.power_down = Some(PowerDownConfig::suspend_to_ram());
+    scenario.engine.dvfs = Some(DvfsConfig::conservative());
+    scenario.engine.fault = FaultConfig::moderate();
+    scenario.engine.trace_decisions = true;
+    let sink = SharedObserver::new(JsonlTraceSink::new(Vec::<u8>::new()));
+    let (engine_sink, scheduler_sink) = (sink.clone(), sink.clone());
+    scenario.run_observed(
+        &SchedulerKind::EAnt(EAntConfig::paper_default()),
+        move |engine, scheduler| {
+            engine.attach_observer(Box::new(engine_sink));
+            scheduler.attach_observer(Box::new(scheduler_sink));
+        },
+    );
+    let bytes = sink
+        .try_into_inner()
+        .unwrap_or_else(|_| panic!("trace sink still shared after run"))
+        .finish()
+        .expect("Vec<u8> writes cannot fail");
+    let text = String::from_utf8(bytes).expect("trace is UTF-8");
+    // One line per event kind: mutations then hit every field reader.
+    let mut corpus: BTreeMap<String, &str> = BTreeMap::new();
+    for line in text.lines() {
+        let (_, event) = parse_trace_line(line).expect("written lines parse");
+        corpus.entry(event.kind().to_owned()).or_insert(line);
+    }
+    assert!(corpus.len() >= 15, "kinds: {:?}", corpus.keys());
+    let corpus: Vec<&str> = corpus.into_values().collect();
+    check("trace_line_parse_survives_byte_mutation", 4096, |rng| {
+        let mut bytes = corpus[rng.uniform_u64(0, corpus.len() as u64 - 1) as usize]
+            .as_bytes()
+            .to_vec();
+        mutate(rng, &mut bytes);
+        let _ = parse_trace_line(&String::from_utf8_lossy(&bytes));
     });
 }
