@@ -766,3 +766,80 @@ fn eant_variant_digests_are_pinned() {
     println!("faulted: {digest:#018x}");
     assert_eq!(digest, 0x9c5f39eba069e887, "faulted E-Ant digest drifted");
 }
+
+/// Exact FNV-1a 64 digests of the registry snapshot and of the sampled
+/// series file of monitored fast cells (seed 2015): an SLO scenario as
+/// committed, a crash-heavy run with decision tracing on (16 machines,
+/// crashes and task failures), a plain Fair cell, and an E-Ant cell
+/// under LATE speculation, whose `outcome="lost"` rows cover speculative
+/// losers. Re-derive with `--nocapture`: each observed pair prints.
+#[test]
+fn registry_and_series_digests_are_pinned() {
+    use experiments::scenario::{library_dir, load_spec};
+    use experiments::slo::run_monitored;
+    use hadoop_sim::SloConfig;
+
+    type Tweak = fn(&mut experiments::scenario::ScenarioSpec);
+    let with_slo: Tweak = |spec| spec.slo = Some(SloConfig::default());
+    let as_committed: Tweak = |_| {};
+    let late_with_slo: Tweak = |spec| {
+        spec.engine.speculation = SpeculationPolicy::Late;
+        spec.slo = Some(SloConfig::default());
+    };
+    let table: &[(&str, &str, Tweak, u64, u64)] = &[
+        (
+            "serve-overload-burst-slo",
+            "E-Ant",
+            as_committed,
+            0x79fcc26dcc90b623,
+            0xfde8705a50e30210,
+        ),
+        (
+            "crash-heavy-churn",
+            "E-Ant",
+            with_slo,
+            0x37b8c3ff86d6cbb1,
+            0x6990313170ab7ca9,
+        ),
+        (
+            "fig8-msd",
+            "Fair",
+            as_committed,
+            0x06cf588d5a0fea53,
+            0x0a1276b2fb332b78,
+        ),
+        (
+            "fig8-msd",
+            "E-Ant",
+            late_with_slo,
+            0x9d3e25837f996613,
+            0x6b7f90a67b061dc7,
+        ),
+    ];
+    let observed: Vec<(u64, u64)> = table
+        .iter()
+        .map(|&(name, label, tweak, ..)| {
+            let mut spec = load_spec(&library_dir().join(format!("{name}.json")))
+                .unwrap_or_else(|e| panic!("{e}"));
+            tweak(&mut spec);
+            let kind = spec
+                .schedulers
+                .iter()
+                .find(|k| k.label() == label)
+                .unwrap_or_else(|| panic!("{name} compares no {label}"))
+                .clone();
+            let cell = run_monitored(&spec, &kind, 2015, true);
+            let registry = fnv1a_64(cell.registry.render().as_bytes());
+            let series = fnv1a_64(cell.series.render().as_bytes());
+            println!("{name} {label}: {registry:#018x} / {series:#018x}");
+            (registry, series)
+        })
+        .collect();
+    for (&(name, label, _, registry, series), &observed) in table.iter().zip(&observed) {
+        assert_eq!(
+            observed,
+            (registry, series),
+            "{name} {label} registry/series digests drifted"
+        );
+    }
+}
