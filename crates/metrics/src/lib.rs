@@ -15,9 +15,9 @@
 //! * [`observers`] — streaming consumers of the typed event stream:
 //!   [`observers::StreamingRunStats`] reproduces the post-hoc aggregates
 //!   live, bit for bit.
-//! * [`registry`] — deterministic counters/gauges/histograms with interned
-//!   label sets; [`registry::RegistryObserver`] folds the event stream into
-//!   a canonical, byte-stable JSON snapshot.
+//! * [`registry`] — the fixed set of counters, gauges and histograms that
+//!   [`registry::RegistryObserver`] folds out of the event stream, with a
+//!   canonical, byte-stable JSON snapshot and sampled time series.
 //! * [`spec`] — shared decoding machinery for canonical-JSON *spec*
 //!   documents: [`spec::ObjectView`] typed accessors, [`spec::SpecError`]
 //!   dotted-path errors and the line/snippet context helpers that give

@@ -1,13 +1,13 @@
 //! A deterministic in-process metrics registry.
 //!
-//! [`Registry`] holds three metric families — monotonic counters, gauges
-//! and fixed-bucket histograms — addressed by `(name, label set)` pairs.
-//! Label sets are interned to dense [`LabelSetId`]s exactly like
-//! `workload::GroupId` interns group names, so the hot path increments by
-//! index and never hashes a string. Snapshots are canonical: metrics are
-//! emitted sorted by name then label set through the [`crate::emit`] JSON
-//! emitter, so two identical runs produce byte-identical snapshot files
-//! (the registry equivalent of the golden trace digests).
+//! [`Registry`] holds the fixed set of counters, gauges and fixed-bucket
+//! histograms that [`RegistryObserver`] folds out of the typed event
+//! stream: every metric name, label key and bucket layout is code, so the
+//! store is a handful of typed fields and the hot path never builds or
+//! hashes a string. Snapshots are canonical: metrics are emitted sorted by
+//! name then label set through the [`crate::emit`] JSON emitter, so two
+//! identical runs produce byte-identical snapshot files (the registry
+//! equivalent of the golden trace digests).
 //!
 //! [`RegistryObserver`] is the bridge from the typed event stream: attach
 //! one to an engine (and scheduler) and it folds every [`SimEvent`] into
@@ -31,14 +31,15 @@
 //! # Examples
 //!
 //! ```
-//! use metrics::registry::Registry;
+//! use hadoop_sim::{trace::Observer, SimEvent};
+//! use metrics::registry::RegistryObserver;
+//! use simcore::SimTime;
+//! use workload::JobId;
 //!
-//! let mut reg = Registry::new();
-//! let labels = reg.label_set(&[("kind", "map")]);
-//! let started = reg.counter("tasks_started_total", labels);
-//! reg.inc(started, 3);
-//! let snap = reg.snapshot();
-//! assert!(snap.render().contains("tasks_started_total"));
+//! let mut obs = RegistryObserver::new();
+//! obs.on_event(SimTime::from_secs(1), &SimEvent::JobCompleted { job: JobId(0) });
+//! let snap = obs.registry().snapshot().render();
+//! assert!(snap.contains(r#""labels":{"type":"job_completed"},"value":1"#));
 //! ```
 
 use std::collections::BTreeMap;
@@ -52,316 +53,270 @@ use workload::TaskId;
 
 use crate::emit::{object, JsonValue, ToJson};
 
-/// Dense id of an interned label set (see [`Registry::label_set`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub struct LabelSetId(u32);
+/// Queue-depth histogram bounds (pending tasks at each heartbeat drain).
+const QUEUE_DEPTH_BOUNDS: [f64; 8] = [0.0, 8.0, 32.0, 128.0, 512.0, 2048.0, 8192.0, 32768.0];
+/// Task-duration histogram bounds, in seconds.
+const DURATION_BOUNDS: [f64; 9] = [5.0, 15.0, 30.0, 60.0, 120.0, 300.0, 600.0, 1800.0, 3600.0];
+/// Candidate-set-size histogram bounds (per assignment decision).
+const CANDIDATES_BOUNDS: [f64; 6] = [1.0, 2.0, 4.0, 8.0, 16.0, 32.0];
 
-/// Handle to a registered counter.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CounterId(u32);
+/// `kind` label values, indexed by [`kind_index`].
+const KIND_TAGS: [&str; 2] = ["map", "reduce"];
+/// `outcome` label values of `tasks_completed_total`, indexed by `won`.
+const OUTCOME_TAGS: [&str; 2] = ["lost", "won"];
 
-/// Handle to a registered gauge.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GaugeId(u32);
-
-/// Handle to a registered histogram.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HistogramId(u32);
-
-#[derive(Debug)]
-struct Counter {
-    name: &'static str,
-    labels: LabelSetId,
-    value: u64,
-}
-
-#[derive(Debug)]
-struct Gauge {
-    name: &'static str,
-    labels: LabelSetId,
-    value: f64,
+fn kind_index(kind: SlotKind) -> usize {
+    match kind {
+        SlotKind::Map => 0,
+        SlotKind::Reduce => 1,
+    }
 }
 
 #[derive(Debug)]
 struct Histogram {
-    name: &'static str,
-    labels: LabelSetId,
     /// Inclusive upper bounds, ascending. One overflow bucket past the end.
-    bounds: Vec<f64>,
+    bounds: &'static [f64],
     /// `bounds.len() + 1` cumulative-free per-bucket counts.
     buckets: Vec<u64>,
     sum: f64,
     count: u64,
 }
 
-/// Deterministic counters, gauges and fixed-bucket histograms with
-/// interned label sets. See the [module documentation](self).
-#[derive(Debug, Default)]
-pub struct Registry {
-    label_sets: Vec<Vec<(String, String)>>,
-    label_ids: BTreeMap<Vec<(String, String)>, LabelSetId>,
-    counters: Vec<Counter>,
-    counter_ids: BTreeMap<(&'static str, LabelSetId), CounterId>,
-    gauges: Vec<Gauge>,
-    gauge_ids: BTreeMap<(&'static str, LabelSetId), GaugeId>,
-    histograms: Vec<Histogram>,
-    histogram_ids: BTreeMap<(&'static str, LabelSetId), HistogramId>,
-}
-
-impl Registry {
-    /// Creates an empty registry.
-    pub fn new() -> Self {
-        Registry::default()
-    }
-
-    /// Interns a label set, allocating the next dense id on first sight.
-    /// Pairs are sorted by key, so `[("a","1"),("b","2")]` and
-    /// `[("b","2"),("a","1")]` intern to the same id.
-    pub fn label_set(&mut self, labels: &[(&str, &str)]) -> LabelSetId {
-        let mut set: Vec<(String, String)> = labels
-            .iter()
-            .map(|(k, v)| ((*k).to_owned(), (*v).to_owned()))
-            .collect();
-        set.sort();
-        if let Some(&id) = self.label_ids.get(&set) {
-            return id;
-        }
-        let id = LabelSetId(u32::try_from(self.label_sets.len()).expect("too many label sets"));
-        self.label_sets.push(set.clone());
-        self.label_ids.insert(set, id);
-        id
-    }
-
-    /// Returns the counter registered as `(name, labels)`, creating it at
-    /// zero on first sight. `name` must be a `'static` literal — metric
-    /// names are code, not data.
-    pub fn counter(&mut self, name: &'static str, labels: LabelSetId) -> CounterId {
-        if let Some(&id) = self.counter_ids.get(&(name, labels)) {
-            return id;
-        }
-        let id = CounterId(u32::try_from(self.counters.len()).expect("too many counters"));
-        self.counters.push(Counter {
-            name,
-            labels,
-            value: 0,
-        });
-        self.counter_ids.insert((name, labels), id);
-        id
-    }
-
-    /// Increments a counter.
-    pub fn inc(&mut self, id: CounterId, by: u64) {
-        self.counters[id.0 as usize].value += by;
-    }
-
-    /// Returns the gauge registered as `(name, labels)`, creating it at
-    /// zero on first sight.
-    pub fn gauge(&mut self, name: &'static str, labels: LabelSetId) -> GaugeId {
-        if let Some(&id) = self.gauge_ids.get(&(name, labels)) {
-            return id;
-        }
-        let id = GaugeId(u32::try_from(self.gauges.len()).expect("too many gauges"));
-        self.gauges.push(Gauge {
-            name,
-            labels,
-            value: 0.0,
-        });
-        self.gauge_ids.insert((name, labels), id);
-        id
-    }
-
-    /// Sets a gauge to an instantaneous value.
-    pub fn set(&mut self, id: GaugeId, value: f64) {
-        self.gauges[id.0 as usize].value = value;
-    }
-
-    /// Returns the histogram registered as `(name, labels)`, creating it
-    /// with the given inclusive upper `bounds` (ascending) on first sight.
-    /// An implicit overflow bucket catches values past the last bound.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bounds` is empty or not strictly ascending, or if the
-    /// metric was first registered with different bounds — bucket layouts
-    /// are fixed at registration so snapshots from different runs align.
-    pub fn histogram(
-        &mut self,
-        name: &'static str,
-        labels: LabelSetId,
-        bounds: &[f64],
-    ) -> HistogramId {
-        assert!(!bounds.is_empty(), "histogram {name:?} needs bounds");
-        assert!(
-            bounds.windows(2).all(|w| w[0] < w[1]),
-            "histogram {name:?} bounds must be strictly ascending"
-        );
-        if let Some(&id) = self.histogram_ids.get(&(name, labels)) {
-            assert_eq!(
-                self.histograms[id.0 as usize].bounds, bounds,
-                "histogram {name:?} re-registered with different bounds"
-            );
-            return id;
-        }
-        let id = HistogramId(u32::try_from(self.histograms.len()).expect("too many histograms"));
-        self.histograms.push(Histogram {
-            name,
-            labels,
-            bounds: bounds.to_vec(),
+impl Histogram {
+    /// Records `value` into the histogram in `slot`, creating it over
+    /// `bounds` on first use.
+    fn observe(slot: &mut Option<Histogram>, bounds: &'static [f64], value: f64) {
+        let h = slot.get_or_insert_with(|| Histogram {
+            bounds,
             buckets: vec![0; bounds.len() + 1],
             sum: 0.0,
             count: 0,
         });
-        self.histogram_ids.insert((name, labels), id);
-        id
-    }
-
-    /// Records one observation into a histogram.
-    pub fn observe(&mut self, id: HistogramId, value: f64) {
-        let h = &mut self.histograms[id.0 as usize];
-        let idx = h
-            .bounds
+        let idx = bounds
             .iter()
             .position(|&b| value <= b)
-            .unwrap_or(h.bounds.len());
+            .unwrap_or(bounds.len());
         h.buckets[idx] += 1;
         h.sum += value;
         h.count += 1;
     }
 
-    fn labels_json(&self, id: LabelSetId) -> JsonValue {
-        JsonValue::Object(
-            self.label_sets[id.0 as usize]
-                .iter()
-                .map(|(k, v)| (k.clone(), JsonValue::Str(v.clone())))
-                .collect(),
-        )
+    /// Nearest-rank percentile estimate: the inclusive upper bound of the
+    /// bucket holding the rank-th observation, clamped to the last finite
+    /// bound for the overflow bucket.
+    fn percentile(&self, p: u64) -> f64 {
+        let rank = (p * self.count).div_ceil(100).max(1);
+        let mut cumulative = 0u64;
+        let bucket = self
+            .buckets
+            .iter()
+            .position(|&count| {
+                cumulative += count;
+                cumulative >= rank
+            })
+            .unwrap_or(self.buckets.len());
+        self.bounds[bucket.min(self.bounds.len() - 1)]
+    }
+}
+
+/// Per-machine counters; each one's metric exists once it is non-zero.
+#[derive(Debug, Default)]
+struct MachineCounts {
+    tasks_started: u64,
+    task_failures: u64,
+    machine_failures: u64,
+}
+
+/// The metrics [`RegistryObserver`] emits, each absent until the first
+/// event that updates it. Counters start at 1, so a counter is present
+/// exactly when it is non-zero. See the [module documentation](self).
+#[derive(Debug, Default)]
+pub struct Registry {
+    /// `events_total{type}`, keyed by [`SimEvent::kind`].
+    events: BTreeMap<&'static str, u64>,
+    /// `tasks_started_total`, `task_failures_total` and
+    /// `machine_failures_total`, sparse by `{machine}`: a replayed trace
+    /// may name any machine id.
+    machines: BTreeMap<MachineId, MachineCounts>,
+    /// `tasks_completed_total{kind, outcome}` as `[kind][won]`.
+    completed: [[u64; 2]; 2],
+    /// `assignment_decisions_total{kind}`.
+    decisions: [u64; 2],
+    /// `task_duration_seconds{kind}`.
+    durations: [Option<Histogram>; 2],
+    queue_depth: Option<Histogram>,
+    decision_candidates: Option<Histogram>,
+    cumulative_energy_joules: Option<f64>,
+    total_tasks: Option<f64>,
+}
+
+#[derive(Clone, Copy)]
+enum Value<'a> {
+    Counter(u64),
+    Gauge(f64),
+    Histogram(&'a Histogram),
+}
+
+impl Value<'_> {
+    /// Snapshot section: counters, then gauges, then histograms.
+    fn family(&self) -> usize {
+        match self {
+            Value::Counter(_) => 0,
+            Value::Gauge(_) => 1,
+            Value::Histogram(_) => 2,
+        }
+    }
+}
+
+/// One present metric, as [`Registry::metrics`] lists it.
+struct Metric<'a> {
+    name: &'static str,
+    /// Label pairs sorted by key.
+    labels: Vec<(&'static str, String)>,
+    value: Value<'a>,
+}
+
+impl Metric<'_> {
+    /// Flat series key: `name` alone without labels, `name{k=v,...}`
+    /// otherwise.
+    fn series_name(&self) -> String {
+        if self.labels.is_empty() {
+            return self.name.to_owned();
+        }
+        let pairs: Vec<String> = self
+            .labels
+            .iter()
+            .map(|(k, v)| format!("{k}={v}"))
+            .collect();
+        format!("{}{{{}}}", self.name, pairs.join(","))
+    }
+}
+
+impl Registry {
+    fn machine(&mut self, machine: MachineId) -> &mut MachineCounts {
+        self.machines.entry(machine).or_default()
     }
 
-    fn sort_key(&self, name: &str, labels: LabelSetId) -> (String, Vec<(String, String)>) {
-        (name.to_owned(), self.label_sets[labels.0 as usize].clone())
+    /// Every present metric: counters, then gauges, then histograms, each
+    /// sorted by `(name, labels)` with label values compared as strings
+    /// (so machine `"10"` precedes `"2"`).
+    fn metrics(&self) -> Vec<Metric<'_>> {
+        let mut out = Vec::new();
+        let mut push = |name, labels: &[(&'static str, &str)], value| {
+            let labels = labels.iter().map(|&(k, v)| (k, v.to_owned())).collect();
+            out.push(Metric {
+                name,
+                labels,
+                value,
+            });
+        };
+        for (&kind, &n) in &self.events {
+            push("events_total", &[("type", kind)], Value::Counter(n));
+        }
+        for (machine, counts) in &self.machines {
+            let m = machine.index().to_string();
+            for (name, n) in [
+                ("tasks_started_total", counts.tasks_started),
+                ("task_failures_total", counts.task_failures),
+                ("machine_failures_total", counts.machine_failures),
+            ] {
+                if n > 0 {
+                    push(name, &[("machine", &m)], Value::Counter(n));
+                }
+            }
+        }
+        for (kind, tag) in KIND_TAGS.into_iter().enumerate() {
+            for (outcome, n) in OUTCOME_TAGS.into_iter().zip(self.completed[kind]) {
+                if n > 0 {
+                    let labels = [("kind", tag), ("outcome", outcome)];
+                    push("tasks_completed_total", &labels, Value::Counter(n));
+                }
+            }
+            if self.decisions[kind] > 0 {
+                let n = Value::Counter(self.decisions[kind]);
+                push("assignment_decisions_total", &[("kind", tag)], n);
+            }
+            if let Some(h) = &self.durations[kind] {
+                push(
+                    "task_duration_seconds",
+                    &[("kind", tag)],
+                    Value::Histogram(h),
+                );
+            }
+        }
+        for (name, gauge) in [
+            ("cumulative_energy_joules", self.cumulative_energy_joules),
+            ("total_tasks", self.total_tasks),
+        ] {
+            if let Some(v) = gauge {
+                push(name, &[], Value::Gauge(v));
+            }
+        }
+        for (name, h) in [
+            ("queue_depth", &self.queue_depth),
+            ("decision_candidates", &self.decision_candidates),
+        ] {
+            if let Some(h) = h {
+                push(name, &[], Value::Histogram(h));
+            }
+        }
+        out.sort_by(|a, b| {
+            (a.value.family(), a.name, &a.labels).cmp(&(b.value.family(), b.name, &b.labels))
+        });
+        out
     }
 
-    /// Canonical snapshot of every registered metric, sorted by name then
+    /// Canonical snapshot of every present metric, sorted by name then
     /// label set: `{"counters":[...],"gauges":[...],"histograms":[...]}`.
     /// Deterministic — two identical runs render byte-identical snapshots.
     pub fn snapshot(&self) -> JsonValue {
-        let mut counters: Vec<&Counter> = self.counters.iter().collect();
-        counters.sort_by_key(|c| self.sort_key(c.name, c.labels));
-        let mut gauges: Vec<&Gauge> = self.gauges.iter().collect();
-        gauges.sort_by_key(|g| self.sort_key(g.name, g.labels));
-        let mut histograms: Vec<&Histogram> = self.histograms.iter().collect();
-        histograms.sort_by_key(|h| self.sort_key(h.name, h.labels));
-
+        let mut families = [Vec::new(), Vec::new(), Vec::new()];
+        for m in self.metrics() {
+            let labels = m
+                .labels
+                .into_iter()
+                .map(|(k, v)| (k.to_owned(), JsonValue::Str(v)))
+                .collect();
+            let mut fields = vec![
+                ("name", JsonValue::Str(m.name.to_owned())),
+                ("labels", JsonValue::Object(labels)),
+            ];
+            match m.value {
+                Value::Counter(v) => fields.push(("value", JsonValue::UInt(v))),
+                Value::Gauge(v) => fields.push(("value", JsonValue::Num(v))),
+                Value::Histogram(h) => {
+                    let les = h.bounds.iter().map(|&b| JsonValue::Num(b));
+                    let buckets = les
+                        .chain([JsonValue::Str("+Inf".to_owned())])
+                        .zip(&h.buckets)
+                        .map(|(le, &count)| object([("le", le), ("count", JsonValue::UInt(count))]))
+                        .collect();
+                    fields.extend([
+                        ("buckets", JsonValue::Array(buckets)),
+                        ("sum", JsonValue::Num(h.sum)),
+                        ("count", JsonValue::UInt(h.count)),
+                    ]);
+                }
+            }
+            families[m.value.family()].push(object(fields));
+        }
+        let [counters, gauges, histograms] = families.map(JsonValue::Array);
         object([
-            (
-                "counters",
-                JsonValue::Array(
-                    counters
-                        .iter()
-                        .map(|c| {
-                            object([
-                                ("name", JsonValue::Str(c.name.to_owned())),
-                                ("labels", self.labels_json(c.labels)),
-                                ("value", JsonValue::UInt(c.value)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "gauges",
-                JsonValue::Array(
-                    gauges
-                        .iter()
-                        .map(|g| {
-                            object([
-                                ("name", JsonValue::Str(g.name.to_owned())),
-                                ("labels", self.labels_json(g.labels)),
-                                ("value", JsonValue::Num(g.value)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "histograms",
-                JsonValue::Array(
-                    histograms
-                        .iter()
-                        .map(|h| {
-                            let buckets = h
-                                .bounds
-                                .iter()
-                                .map(Some)
-                                .chain([None])
-                                .zip(&h.buckets)
-                                .map(|(le, &count)| {
-                                    object([
-                                        (
-                                            "le",
-                                            le.map_or(JsonValue::Str("+Inf".to_owned()), |&b| {
-                                                JsonValue::Num(b)
-                                            }),
-                                        ),
-                                        ("count", JsonValue::UInt(count)),
-                                    ])
-                                })
-                                .collect();
-                            object([
-                                ("name", JsonValue::Str(h.name.to_owned())),
-                                ("labels", self.labels_json(h.labels)),
-                                ("buckets", JsonValue::Array(buckets)),
-                                ("sum", JsonValue::Num(h.sum)),
-                                ("count", JsonValue::UInt(h.count)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
+            ("counters", counters),
+            ("gauges", gauges),
+            ("histograms", histograms),
         ])
     }
-
-    /// Flat series key for a metric: `name` alone for the empty label set,
-    /// `name{k=v,...}` (keys sorted, as interned) otherwise.
-    fn series_name(&self, name: &str, labels: LabelSetId) -> String {
-        let set = &self.label_sets[labels.0 as usize];
-        if set.is_empty() {
-            return name.to_owned();
-        }
-        let pairs: Vec<String> = set.iter().map(|(k, v)| format!("{k}={v}")).collect();
-        format!("{name}{{{}}}", pairs.join(","))
-    }
 }
 
-/// Nearest-rank percentile estimate from fixed histogram buckets: the
-/// inclusive upper bound of the bucket holding the rank-th observation,
-/// clamped to the last finite bound for the overflow bucket. `None` when
-/// the histogram is empty.
-fn bucket_percentile(h: &Histogram, p: u64) -> Option<f64> {
-    if h.count == 0 {
-        return None;
-    }
-    let rank = (p * h.count).div_ceil(100).max(1);
-    let mut cumulative = 0u64;
-    for (i, &count) in h.buckets.iter().enumerate() {
-        cumulative += count;
-        if cumulative >= rank {
-            let last = h.bounds.len() - 1;
-            return Some(h.bounds[i.min(last)]);
-        }
-    }
-    None
-}
-
-/// Default per-series sample cap of the sampling mode: generous enough for
-/// any committed scenario (one sample per control interval), bounded so a
+/// Per-series sample cap of the sampling mode: generous enough for any
+/// committed scenario (one sample per control interval), bounded so a
 /// runaway horizon cannot grow memory without limit.
 pub const DEFAULT_SERIES_CAP: usize = 4096;
 
 /// The windowed time-series store behind [`RegistryObserver::with_sampling`].
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct Sampler {
-    cap: usize,
     series: BTreeMap<String, TimeSeries>,
     /// Counter value at the previous sample, keyed by series name, so each
     /// sample records the per-window delta.
@@ -370,22 +325,12 @@ struct Sampler {
 }
 
 impl Sampler {
-    fn new(cap: usize) -> Self {
-        assert!(cap > 0, "series sampler needs capacity > 0");
-        Sampler {
-            cap,
-            series: BTreeMap::new(),
-            last_counters: BTreeMap::new(),
-            dropped: 0,
-        }
-    }
-
-    fn push(&mut self, name: &str, at: SimTime, value: f64) {
+    fn push(&mut self, name: String, at: SimTime, value: f64) {
         let s = self
             .series
-            .entry(name.to_owned())
-            .or_insert_with(|| TimeSeries::new(name));
-        if s.len() >= self.cap {
+            .entry(name)
+            .or_insert_with_key(|name| TimeSeries::new(name));
+        if s.len() >= DEFAULT_SERIES_CAP {
             self.dropped += 1;
             return;
         }
@@ -394,21 +339,18 @@ impl Sampler {
 
     /// Takes one sample of the whole registry at sim time `at`.
     fn sample(&mut self, at: SimTime, reg: &Registry) {
-        for c in &reg.counters {
-            let name = reg.series_name(c.name, c.labels);
-            let last = self.last_counters.get(&name).copied().unwrap_or(0);
-            self.last_counters.insert(name.clone(), c.value);
-            self.push(&name, at, (c.value - last) as f64);
-        }
-        for g in &reg.gauges {
-            let name = reg.series_name(g.name, g.labels);
-            self.push(&name, at, g.value);
-        }
-        for h in &reg.histograms {
-            let base = reg.series_name(h.name, h.labels);
-            for p in [50u64, 95, 99] {
-                if let Some(v) = bucket_percentile(h, p) {
-                    self.push(&format!("{base}:p{p}"), at, v);
+        for m in reg.metrics() {
+            let name = m.series_name();
+            match m.value {
+                Value::Counter(v) => {
+                    let last = self.last_counters.insert(name.clone(), v).unwrap_or(0);
+                    self.push(name, at, (v - last) as f64);
+                }
+                Value::Gauge(v) => self.push(name, at, v),
+                Value::Histogram(h) => {
+                    for p in [50u64, 95, 99] {
+                        self.push(format!("{name}:p{p}"), at, h.percentile(p));
+                    }
                 }
             }
         }
@@ -510,20 +452,15 @@ impl SeriesSnapshot {
     }
 }
 
-/// Queue-depth histogram bounds (pending tasks at each heartbeat drain).
-const QUEUE_DEPTH_BOUNDS: [f64; 8] = [0.0, 8.0, 32.0, 128.0, 512.0, 2048.0, 8192.0, 32768.0];
-/// Task-duration histogram bounds, in seconds.
-const DURATION_BOUNDS: [f64; 9] = [5.0, 15.0, 30.0, 60.0, 120.0, 300.0, 600.0, 1800.0, 3600.0];
-/// Candidate-set-size histogram bounds (per assignment decision).
-const CANDIDATES_BOUNDS: [f64; 6] = [1.0, 2.0, 4.0, 8.0, 16.0, 32.0];
-
 /// An [`Observer`] folding the typed event stream into a [`Registry`].
 ///
 /// Populates, per event kind, an `events_total{type=...}` counter; per
-/// machine, `tasks_started_total` / `task_failures_total`; cluster-wide
-/// task-duration and queue-depth histograms, the fleet energy gauge, and —
-/// when decision tracing is on — `assignment_decisions_total{kind=...}`
-/// plus a candidate-set-size histogram.
+/// machine, `tasks_started_total` / `task_failures_total` /
+/// `machine_failures_total`; `tasks_completed_total{kind, outcome}`;
+/// cluster-wide task-duration and queue-depth histograms, the fleet energy
+/// and task-count gauges, and — when decision tracing is on —
+/// `assignment_decisions_total{kind=...}` plus a candidate-set-size
+/// histogram.
 #[derive(Debug)]
 pub struct RegistryObserver {
     registry: Registry,
@@ -543,7 +480,7 @@ impl RegistryObserver {
     /// Creates an observer over a fresh registry.
     pub fn new() -> Self {
         RegistryObserver {
-            registry: Registry::new(),
+            registry: Registry::default(),
             started: BTreeMap::new(),
             sampler: None,
         }
@@ -553,19 +490,9 @@ impl RegistryObserver {
     /// [sampling mode](self#sampling-mode)), bounded at
     /// [`DEFAULT_SERIES_CAP`] samples per series.
     pub fn with_sampling() -> Self {
-        RegistryObserver::with_sampling_capacity(DEFAULT_SERIES_CAP)
-    }
-
-    /// Sampling mode with an explicit per-series sample cap.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cap` is zero.
-    pub fn with_sampling_capacity(cap: usize) -> Self {
         RegistryObserver {
-            registry: Registry::new(),
-            started: BTreeMap::new(),
-            sampler: Some(Sampler::new(cap)),
+            sampler: Some(Sampler::default()),
+            ..RegistryObserver::new()
         }
     }
 
@@ -578,109 +505,58 @@ impl RegistryObserver {
     pub fn series_snapshot(&self) -> Option<SeriesSnapshot> {
         self.sampler.as_ref().map(Sampler::snapshot)
     }
-
-    /// Consumes the observer, returning the registry.
-    pub fn into_registry(self) -> Registry {
-        self.registry
-    }
-
-    fn count_event(&mut self, kind: &'static str) {
-        let labels = self.registry.label_set(&[("type", kind)]);
-        let id = self.registry.counter("events_total", labels);
-        self.registry.inc(id, 1);
-    }
-
-    fn machine_counter(&mut self, name: &'static str, machine: MachineId) {
-        let m = machine.index().to_string();
-        let labels = self.registry.label_set(&[("machine", &m)]);
-        let id = self.registry.counter(name, labels);
-        self.registry.inc(id, 1);
-    }
-
-    fn slot_kind_tag(kind: SlotKind) -> &'static str {
-        match kind {
-            SlotKind::Map => "map",
-            SlotKind::Reduce => "reduce",
-        }
-    }
 }
 
 impl Observer<SimEvent> for RegistryObserver {
     fn on_event(&mut self, at: SimTime, event: &SimEvent) {
-        self.count_event(event.kind());
+        let reg = &mut self.registry;
+        *reg.events.entry(event.kind()).or_insert(0) += 1;
         match event {
             SimEvent::TaskStarted { task, machine, .. } => {
-                self.machine_counter("tasks_started_total", *machine);
+                reg.machine(*machine).tasks_started += 1;
                 self.started.insert((*task, *machine), at);
             }
             SimEvent::TaskCompleted {
                 task, machine, won, ..
             } => {
-                let outcome = if *won { "won" } else { "lost" };
-                let labels = self.registry.label_set(&[
-                    ("kind", Self::slot_kind_tag(task.task.kind)),
-                    ("outcome", outcome),
-                ]);
-                let id = self.registry.counter("tasks_completed_total", labels);
-                self.registry.inc(id, 1);
+                let kind = kind_index(task.task.kind);
+                reg.completed[kind][usize::from(*won)] += 1;
                 if let Some(started) = self.started.remove(&(*task, *machine)) {
-                    let kind_labels = self
-                        .registry
-                        .label_set(&[("kind", Self::slot_kind_tag(task.task.kind))]);
-                    let h = self.registry.histogram(
-                        "task_duration_seconds",
-                        kind_labels,
-                        &DURATION_BOUNDS,
-                    );
-                    self.registry.observe(h, (at - started).as_secs_f64());
+                    let secs = (at - started).as_secs_f64();
+                    Histogram::observe(&mut reg.durations[kind], &DURATION_BOUNDS, secs);
                 }
             }
             SimEvent::TaskFailed { task, machine, .. } => {
-                self.machine_counter("task_failures_total", *machine);
+                reg.machine(*machine).task_failures += 1;
                 self.started.remove(&(*task, *machine));
             }
             SimEvent::HeartbeatDrained { pending_total, .. } => {
-                let labels = self.registry.label_set(&[]);
-                let h = self
-                    .registry
-                    .histogram("queue_depth", labels, &QUEUE_DEPTH_BOUNDS);
-                self.registry.observe(h, *pending_total as f64);
+                let depth = *pending_total as f64;
+                Histogram::observe(&mut reg.queue_depth, &QUEUE_DEPTH_BOUNDS, depth);
             }
             SimEvent::ControlIntervalFired {
                 cumulative_energy_joules,
                 ..
             } => {
-                let labels = self.registry.label_set(&[]);
-                let g = self.registry.gauge("cumulative_energy_joules", labels);
-                self.registry.set(g, *cumulative_energy_joules);
+                reg.cumulative_energy_joules = Some(*cumulative_energy_joules);
             }
             SimEvent::AssignmentDecision {
                 kind, candidates, ..
             } => {
-                let labels = self
-                    .registry
-                    .label_set(&[("kind", Self::slot_kind_tag(*kind))]);
-                let id = self.registry.counter("assignment_decisions_total", labels);
-                self.registry.inc(id, 1);
-                let all = self.registry.label_set(&[]);
-                let h = self
-                    .registry
-                    .histogram("decision_candidates", all, &CANDIDATES_BOUNDS);
-                self.registry.observe(h, candidates.len() as f64);
+                reg.decisions[kind_index(*kind)] += 1;
+                let n = candidates.len() as f64;
+                Histogram::observe(&mut reg.decision_candidates, &CANDIDATES_BOUNDS, n);
             }
             SimEvent::MachineFailed { machine, .. } => {
-                self.machine_counter("machine_failures_total", *machine);
+                reg.machine(*machine).machine_failures += 1;
             }
             SimEvent::RunFinished {
                 total_energy_joules,
                 total_tasks,
                 ..
             } => {
-                let labels = self.registry.label_set(&[]);
-                let g = self.registry.gauge("cumulative_energy_joules", labels);
-                self.registry.set(g, *total_energy_joules);
-                let t = self.registry.gauge("total_tasks", labels);
-                self.registry.set(t, *total_tasks as f64);
+                reg.cumulative_energy_joules = Some(*total_energy_joules);
+                reg.total_tasks = Some(*total_tasks as f64);
             }
             _ => {}
         }
@@ -702,99 +578,83 @@ mod tests {
     use super::*;
     use workload::{JobId, TaskIndex};
 
-    #[test]
-    fn label_sets_intern_like_group_ids() {
-        let mut reg = Registry::new();
-        let a = reg.label_set(&[("kind", "map"), ("machine", "3")]);
-        let b = reg.label_set(&[("machine", "3"), ("kind", "map")]);
-        let c = reg.label_set(&[("machine", "4"), ("kind", "map")]);
-        assert_eq!(a, b, "order-insensitive interning");
-        assert_ne!(a, c);
+    fn map_task(index: u32) -> TaskId {
+        TaskId {
+            job: JobId(0),
+            task: TaskIndex {
+                kind: SlotKind::Map,
+                index,
+            },
+        }
     }
 
-    #[test]
-    fn counters_and_gauges_accumulate() {
-        let mut reg = Registry::new();
-        let l = reg.label_set(&[]);
-        let c = reg.counter("hits", l);
-        reg.inc(c, 2);
-        let c2 = reg.counter("hits", l);
-        assert_eq!(c, c2, "registration is idempotent");
-        reg.inc(c2, 3);
-        let g = reg.gauge("temp", l);
-        reg.set(g, 1.5);
-        let snap = reg.snapshot().render();
-        assert!(
-            snap.contains(r#""name":"hits","labels":{},"value":5"#),
-            "{snap}"
-        );
-        assert!(
-            snap.contains(r#""name":"temp","labels":{},"value":1.5"#),
-            "{snap}"
-        );
+    fn started(task: TaskId, machine: usize) -> SimEvent {
+        SimEvent::TaskStarted {
+            task,
+            machine: MachineId(machine),
+            speculative: false,
+        }
+    }
+
+    fn completed(task: TaskId, machine: usize) -> SimEvent {
+        SimEvent::TaskCompleted {
+            task,
+            machine: MachineId(machine),
+            won: true,
+            straggled: false,
+            speculative: false,
+        }
     }
 
     #[test]
     fn histograms_bucket_inclusively_with_overflow() {
-        let mut reg = Registry::new();
-        let l = reg.label_set(&[]);
-        let h = reg.histogram("lat", l, &[1.0, 10.0]);
-        for v in [0.5, 1.0, 5.0, 100.0] {
-            reg.observe(h, v);
+        let mut obs = RegistryObserver::new();
+        // Durations 2 s and 5 s land in le=5 (5 s exactly on the bound),
+        // 60 s exactly on le=60, 3601 s past the last bound in +Inf.
+        for (i, secs) in (0..).zip([2u64, 5, 60, 3601]) {
+            let task = map_task(i);
+            obs.on_event(SimTime::from_secs(0), &started(task, 0));
+            obs.on_event(SimTime::from_secs(secs), &completed(task, 0));
         }
-        let snap = reg.snapshot();
-        let hist = snap.get("histograms").unwrap();
-        let JsonValue::Array(items) = hist else {
+        let snap = obs.registry().snapshot();
+        let Some(JsonValue::Array(items)) = snap.get("histograms") else {
             panic!("histograms not an array")
         };
         let rendered = items[0].render();
-        // 0.5 and 1.0 land in le=1, 5.0 in le=10, 100.0 overflows.
-        assert!(rendered.contains(r#"{"le":1,"count":2}"#), "{rendered}");
-        assert!(rendered.contains(r#"{"le":10,"count":1}"#), "{rendered}");
+        assert!(
+            rendered.starts_with(r#"{"name":"task_duration_seconds","labels":{"kind":"map"}"#),
+            "{rendered}"
+        );
+        assert!(rendered.contains(r#"{"le":5,"count":2}"#), "{rendered}");
+        assert!(rendered.contains(r#"{"le":60,"count":1}"#), "{rendered}");
+        assert!(rendered.contains(r#"{"le":3600,"count":0}"#), "{rendered}");
         assert!(
             rendered.contains(r#"{"le":"+Inf","count":1}"#),
             "{rendered}"
         );
-        assert!(rendered.contains(r#""count":4"#), "{rendered}");
+        assert!(rendered.ends_with(r#""sum":3668,"count":4}"#), "{rendered}");
     }
 
     #[test]
-    #[should_panic(expected = "different bounds")]
-    fn bound_changes_are_rejected() {
-        let mut reg = Registry::new();
-        let l = reg.label_set(&[]);
-        reg.histogram("lat", l, &[1.0, 10.0]);
-        reg.histogram("lat", l, &[2.0, 20.0]);
+    fn machine_labels_sort_as_strings() {
+        let mut obs = RegistryObserver::new();
+        obs.on_event(SimTime::from_secs(1), &started(map_task(0), 2));
+        obs.on_event(SimTime::from_secs(2), &started(map_task(1), 10));
+        let text = obs.registry().snapshot().render();
+        let ten = text
+            .find(r#""name":"tasks_started_total","labels":{"machine":"10"}"#)
+            .expect("machine 10 counter");
+        let two = text
+            .find(r#""name":"tasks_started_total","labels":{"machine":"2"}"#)
+            .expect("machine 2 counter");
+        assert!(ten < two, "machine=10 must precede machine=2: {text}");
     }
 
     #[test]
     fn snapshot_round_trips_through_json_parse() {
         let mut obs = RegistryObserver::new();
-        let task = TaskId {
-            job: JobId(0),
-            task: TaskIndex {
-                kind: SlotKind::Map,
-                index: 1,
-            },
-        };
-        obs.on_event(
-            SimTime::from_secs(1),
-            &SimEvent::TaskStarted {
-                task,
-                machine: MachineId(2),
-                speculative: false,
-            },
-        );
-        obs.on_event(
-            SimTime::from_secs(31),
-            &SimEvent::TaskCompleted {
-                task,
-                machine: MachineId(2),
-                won: true,
-                straggled: false,
-                speculative: false,
-            },
-        );
+        obs.on_event(SimTime::from_secs(1), &started(map_task(1), 2));
+        obs.on_event(SimTime::from_secs(31), &completed(map_task(1), 2));
         obs.on_event(
             SimTime::from_secs(32),
             &SimEvent::HeartbeatDrained {
@@ -897,14 +757,18 @@ mod tests {
 
     #[test]
     fn sampling_cap_drops_and_counts() {
-        let mut obs = RegistryObserver::with_sampling_capacity(2);
-        for i in 0..4u64 {
+        let mut obs = RegistryObserver::with_sampling();
+        let ticks = DEFAULT_SERIES_CAP as u64 + 2;
+        for i in 0..ticks {
             obs.on_event(SimTime::from_secs(i * 300), &tick(i, i as f64));
         }
         let snap = obs.series_snapshot().unwrap();
-        assert!(snap.dropped > 0, "cap must count dropped samples");
+        // Two series (the tick counter and the energy gauge), each two
+        // samples over the cap.
+        assert_eq!(snap.series.len(), 2);
+        assert_eq!(snap.dropped, 4, "cap must count dropped samples");
         for s in &snap.series {
-            assert!(s.len() <= 2, "series {} over cap", s.name());
+            assert_eq!(s.len(), DEFAULT_SERIES_CAP, "series {}", s.name());
         }
     }
 

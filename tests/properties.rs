@@ -1846,3 +1846,56 @@ fn trace_line_parse_survives_byte_mutation() {
         let _ = parse_trace_line(&String::from_utf8_lossy(&bytes));
     });
 }
+
+/// [`experiments::explain::run`] returns `Ok` or `Err` — never panics —
+/// on a real postmortem bundle with one of its three files byte-mutated:
+/// the event log, the breach record or the sampled series.
+#[test]
+fn explain_bundle_loader_survives_byte_mutation() {
+    use experiments::scenario::{library_dir, load_spec};
+    use experiments::slo::run_monitored;
+
+    let mut spec = load_spec(&library_dir().join("serve-overload-burst-slo.json"))
+        .unwrap_or_else(|e| panic!("{e}"));
+    // A shallow flight recorder keeps every iteration's reload cheap; the
+    // event log still holds decision, task and heartbeat lines.
+    if let Some(slo) = spec.slo.as_mut() {
+        slo.ring_capacity = 16;
+    }
+    let eant = spec
+        .schedulers
+        .iter()
+        .find(|k| k.label() == "E-Ant")
+        .expect("slo scenario compares E-Ant");
+    let bundle = run_monitored(&spec, eant, spec.seeds[0], true)
+        .postmortem
+        .expect("E-Ant breaches the overload SLO");
+    let root = std::env::temp_dir().join(format!("eant-explain-fuzz-{}", std::process::id()));
+    let dir = bundle.write_to(&root).expect("bundle writes");
+    experiments::explain::run(&dir).expect("the unmutated bundle explains");
+    let files: Vec<(&str, Vec<u8>)> = ["events.jsonl", "breach.json", "series.json"]
+        .into_iter()
+        .map(|name| {
+            (
+                name,
+                std::fs::read(dir.join(name)).expect("bundle file reads"),
+            )
+        })
+        .collect();
+    std::fs::remove_dir_all(&root).expect("bundle dir removes");
+    check("explain_bundle_loader_survives_byte_mutation", 256, |rng| {
+        let mutated = rng.uniform_u64(0, files.len() as u64 - 1) as usize;
+        // Fresh files every case: rewriting a file in place can flush it
+        // to disk on each truncation, which is slow on some filesystems.
+        std::fs::create_dir_all(&dir).expect("case dir creates");
+        for (i, (name, original)) in files.iter().enumerate() {
+            let mut bytes = original.clone();
+            if i == mutated {
+                mutate(rng, &mut bytes);
+            }
+            std::fs::write(dir.join(name), &bytes).expect("bundle file writes");
+        }
+        let _ = experiments::explain::run(&dir);
+        std::fs::remove_dir_all(&root).expect("case dir removes");
+    });
+}
