@@ -400,6 +400,15 @@ pub struct EngineConfig {
 }
 
 impl EngineConfig {
+    /// Whether an event after a task's start can read that task again:
+    /// speculation clones a running attempt onto another machine, and
+    /// fault injection requeues failed attempts and lost map outputs.
+    /// Without either, the engine keeps no attempt registry, and a job's
+    /// block replicas are freed as soon as its last pending map starts.
+    pub(crate) fn revisits_started_tasks(&self) -> bool {
+        self.speculation != SpeculationPolicy::Off || self.fault.is_enabled()
+    }
+
     /// Validates parameter ranges.
     ///
     /// # Panics

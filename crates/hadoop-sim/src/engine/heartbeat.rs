@@ -165,11 +165,18 @@ impl Engine {
             self.network.begin_transfer(machine);
         }
         self.jobs[ji].note_task_started(self.now);
+        if kind == SlotKind::Map && !self.config.revisits_started_tasks() {
+            // The slot is taken, so this map never returns to the queue,
+            // and nothing else looks up a started map's block.
+            self.jobs[ji].release_drained_maps();
+        }
         self.refresh_job(ji);
         if let Some(arena) = &mut self.arena {
             arena.push_attempt(rt.task, machine, self.now);
         }
-        self.interval_starts.push((job, machine));
+        self.interval_starts
+            .push(job, machine)
+            .expect("job ids and machine indices fit u32");
 
         if !self.trace.is_empty() {
             self.trace.notify(

@@ -36,11 +36,11 @@ use workload::{BenchmarkKind, JobId, JobSpec, TaskId};
 use crate::cluster_state::{ClusterState, JobEntry};
 use crate::job_state::{JobState, PendingMaps};
 use crate::report::TaskReport;
-use crate::result::{IntervalSnapshot, RunResult};
+use crate::result::{IntervalSnapshot, RunResult, StartLog};
 use crate::scheduler::{ClusterQuery, Scheduler};
 use crate::task_arena::TaskArena;
 use crate::trace::{Observer, ObserverSet, SimEvent};
-use crate::{EngineConfig, SpeculationPolicy, StopCondition};
+use crate::{EngineConfig, StopCondition};
 
 /// Panic message of an attempt-registry read in a run that keeps none.
 const NO_ARENA: &str = "the attempt registry is kept only with speculation or fault injection";
@@ -139,10 +139,9 @@ pub struct Engine {
     /// [`bench_ix`]. `None` until the first one, so a count that map-output
     /// loss rolls back to zero is still reported.
     bench_counts: Vec<[Option<u64>; BenchmarkKind::ALL.len()]>,
-    /// One `(job, machine)` pair per fresh task start since the last
-    /// control tick, folded into the interval's snapshot by
-    /// [`fold_starts`](crate::fold_starts).
-    interval_starts: Vec<(JobId, MachineId)>,
+    /// The fresh task starts since the last control tick, folded into
+    /// the interval's snapshot by [`fold_starts`](crate::fold_starts).
+    interval_starts: StartLog,
     // Power-down bookkeeping: wake-up completion time per standby machine
     // and the time the cluster last had runnable work.
     waking_until: Vec<Option<SimTime>>,
@@ -242,8 +241,7 @@ impl Engine {
         // byte-identical to a build without the layer.
         let rng_fault = root.fork("fault");
         let crash_schedule = fault::crash_schedules(&config, n, &rng_fault);
-        let arena = (config.speculation != SpeculationPolicy::Off || config.fault.is_enabled())
-            .then(TaskArena::default);
+        let arena = config.revisits_started_tasks().then(TaskArena::default);
         let machine_speeds: Vec<f64> = fleet
             .iter()
             .map(|m| m.profile().cores() as f64 * m.profile().cpu_speed())
@@ -268,7 +266,7 @@ impl Engine {
             map_counts: vec![0; n],
             reduce_counts: vec![0; n],
             bench_counts: vec![[None; BenchmarkKind::ALL.len()]; n],
-            interval_starts: Vec::new(),
+            interval_starts: StartLog::default(),
             waking_until: vec![None; n],
             last_work_at: SimTime::ZERO,
             arena,
@@ -697,7 +695,7 @@ mod tests {
     use super::*;
     use crate::result::MachineOutcome;
     use crate::scheduler::GreedyScheduler;
-    use crate::NoiseConfig;
+    use crate::{NoiseConfig, SpeculationPolicy};
     use cluster::profiles;
     use workload::Benchmark;
 
@@ -953,6 +951,91 @@ mod tests {
         }
     }
 
+    /// An engine cut off 6 s into a run of two wordcount jobs on the
+    /// small fleet: job 0's four maps all start at the first heartbeat and
+    /// are still running at the cut, job 1's 200 maps are still queued.
+    fn cut_with_drained_map_queue(cfg: EngineConfig) -> Engine {
+        let cfg = EngineConfig {
+            max_sim_time: SimDuration::from_secs(6),
+            ..cfg
+        };
+        let mut engine = Engine::new(small_fleet(), cfg, 4);
+        engine.submit_jobs(vec![
+            JobSpec::new(JobId(0), Benchmark::wordcount(), 4, 2, SimTime::ZERO),
+            JobSpec::new(JobId(1), Benchmark::wordcount(), 200, 2, SimTime::ZERO),
+        ]);
+        let r = engine.run(&mut GreedyScheduler::new());
+        assert!(!r.drained);
+        let drained = &engine.jobs[0];
+        assert_eq!(drained.pending_maps(), 0);
+        assert_eq!(drained.phase(), crate::JobPhase::Running);
+        assert!(engine.jobs[1].pending_maps() > 0);
+        assert!(engine.jobs[1].map_state_bytes() > 0);
+        engine
+    }
+
+    #[test]
+    fn drained_map_queues_hold_no_replicas_without_later_readers() {
+        let engine = cut_with_drained_map_queue(quiet_config());
+        assert_eq!(engine.jobs[0].map_state_bytes(), 0);
+    }
+
+    #[test]
+    fn speculation_keeps_the_replicas_of_drained_map_queues() {
+        let late = EngineConfig {
+            speculation: SpeculationPolicy::Late,
+            ..quiet_config()
+        };
+        let engine = cut_with_drained_map_queue(late.clone());
+        assert!(engine.jobs[0].map_state_bytes() > 0);
+
+        // Backup maps launch once every map queue has drained, and their
+        // locality is still that of the task's placed block.
+        let fleet = || {
+            Fleet::builder()
+                .add(profiles::desktop(), 6)
+                .add(profiles::xeon_e5(), 2)
+                .rack_size(4)
+                .build()
+                .unwrap()
+        };
+        let cfg = EngineConfig {
+            noise: NoiseConfig {
+                straggler_prob: 0.3,
+                straggler_slowdown: (3.0, 5.0),
+                utilization_jitter: 0.0,
+            },
+            ..late
+        };
+        let mut engine = Engine::new(fleet(), cfg, 13);
+        let mut blocks = Vec::new();
+        for j in 0..4 {
+            let placed: Vec<cluster::hdfs::Block> = (0..12)
+                .map(|k| cluster::hdfs::Block {
+                    id: cluster::hdfs::BlockId((j * 12 + k) as u64),
+                    replicas: vec![MachineId((k + j) % 8), MachineId((k * 3 + 1) % 8)],
+                })
+                .collect();
+            let at = SimTime::from_secs(30 * j as u64);
+            let spec = JobSpec::new(JobId(j as u64), Benchmark::wordcount(), 12, 1, at);
+            engine.submit_job_with_blocks(spec, placed.clone());
+            blocks.push(placed);
+        }
+        let fleet = fleet();
+        let (r, reports) = run_greedy_with_reports(engine);
+        assert!(r.drained);
+        let backups: Vec<_> = reports
+            .iter()
+            .filter(|t| t.speculative && t.kind == SlotKind::Map)
+            .collect();
+        assert!(!backups.is_empty(), "no backup map won");
+        for t in backups {
+            let block = &blocks[t.job().index()][t.task.task.index as usize];
+            let want = cluster::hdfs::locality(&fleet, block.replicas.iter().copied(), t.machine);
+            assert_eq!(t.locality, Some(want), "{:?}", t.task);
+        }
+    }
+
     #[test]
     #[should_panic(expected = "job ids must be dense")]
     fn non_dense_job_ids_rejected() {
@@ -988,7 +1071,6 @@ mod tests {
 
     #[test]
     fn speculation_launches_backups_and_conserves_tasks() {
-        use crate::SpeculationPolicy;
         let cfg = EngineConfig {
             noise: NoiseConfig {
                 straggler_prob: 0.2,
@@ -1043,7 +1125,6 @@ mod tests {
 
     #[test]
     fn speculation_cuts_straggler_tail() {
-        use crate::SpeculationPolicy;
         // A fleet with one crawling machine and strong stragglers: backup
         // tasks should shorten the tail on average.
         let fleet = || {

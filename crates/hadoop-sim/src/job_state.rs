@@ -313,7 +313,9 @@ const UNPLACED: &str = "a job's blocks are placed at its arrival";
 /// The block state — the map queue with its input blocks and locality
 /// counts, and the reduce queue — lives only while the job is in flight:
 /// the engine places the blocks at the job's arrival, and the winning
-/// completion of the job's last task frees them. What stays for a
+/// completion of the job's last task frees them. In a run where nothing
+/// reads a started map again, the map queue and blocks go earlier, when
+/// the last pending map starts ([`JobState::release_drained_maps`]). What stays for a
 /// complete job is its spec, counters and `finished` bits, which a
 /// speculative loser arriving later still reads.
 #[derive(Debug, Clone)]
@@ -381,6 +383,18 @@ impl JobState {
         self.maps.as_mut().expect(UNPLACED)
     }
 
+    /// Frees the map queue and the input block replicas once no map is
+    /// pending. Only for a run in which nothing reads a started map again
+    /// ([`EngineConfig::revisits_started_tasks`](crate::EngineConfig::revisits_started_tasks)
+    /// is false): a later [`PendingMaps::return_map`],
+    /// [`JobState::lose_map_output`] or backup-locality read would find no
+    /// block.
+    pub fn release_drained_maps(&mut self) {
+        if self.maps.as_ref().is_some_and(PendingMaps::is_empty) {
+            self.maps = Some(PendingMaps::default());
+        }
+    }
+
     /// Pending map tasks. A job whose blocks are not placed yet has every
     /// map pending.
     pub fn pending_maps(&self) -> u32 {
@@ -389,20 +403,24 @@ impl JobState {
             .map_or(self.spec.num_maps(), PendingMaps::len)
     }
 
-    /// Heap bytes of the block state: block replicas and offsets, the map
-    /// queue and its replica counts, and the reduce queue.
+    /// Heap bytes of the map state: block replicas and offsets, the map
+    /// queue and its replica counts.
     #[cfg(test)]
-    pub fn block_state_bytes(&self) -> usize {
-        use std::mem::size_of;
-        let maps = self.maps.as_ref().map_or(0, |m| {
+    pub fn map_state_bytes(&self) -> usize {
+        self.maps.as_ref().map_or(0, |m| {
             (m.blocks.machines.capacity()
                 + m.blocks.offsets.capacity()
                 + m.pending.capacity()
                 + m.node_replicas.capacity()
                 + m.rack_replicas.capacity())
-                * size_of::<u32>()
-        });
-        maps + self.pending_reduces.capacity() * size_of::<u32>()
+                * std::mem::size_of::<u32>()
+        })
+    }
+
+    /// Heap bytes of the block state: the map state and the reduce queue.
+    #[cfg(test)]
+    pub fn block_state_bytes(&self) -> usize {
+        self.map_state_bytes() + self.pending_reduces.capacity() * std::mem::size_of::<u32>()
     }
 
     pub fn phase(&self) -> JobPhase {

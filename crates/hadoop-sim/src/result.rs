@@ -85,41 +85,84 @@ pub struct IntervalSnapshot {
     pub assignments: BTreeMap<JobId, Vec<(MachineId, u64)>>,
 }
 
-/// Folds one interval's start log — a `(job, machine)` pair per fresh task
-/// start, in any order — into [`IntervalSnapshot::assignments`] rows, and
-/// empties the log (keeping its capacity for the next interval).
+/// One interval's fresh task starts, in any order: a `(job, machine)` pair
+/// of 32-bit indices per start, 8 bytes each.
 ///
 /// # Examples
 ///
 /// ```
 /// use cluster::MachineId;
-/// use hadoop_sim::fold_starts;
+/// use hadoop_sim::StartLog;
 /// use workload::JobId;
 ///
-/// let mut log = vec![
-///     (JobId(1), MachineId(4)),
-///     (JobId(0), MachineId(2)),
-///     (JobId(1), MachineId(0)),
-///     (JobId(1), MachineId(4)),
-/// ];
+/// let mut log = StartLog::default();
+/// log.push(JobId(3), MachineId(7)).unwrap();
+/// assert_eq!(log.len(), 1);
+/// assert!(log.push(JobId(1 << 32), MachineId(0)).is_err());
+/// assert_eq!(log.len(), 1);
+/// ```
+#[derive(Debug, Clone, Default)]
+pub struct StartLog(Vec<(u32, u32)>);
+
+impl StartLog {
+    /// Appends one start.
+    ///
+    /// # Errors
+    ///
+    /// Returns why, and logs nothing, when the job id or the machine index
+    /// does not fit in 32 bits.
+    pub fn push(&mut self, job: JobId, machine: MachineId) -> Result<(), String> {
+        let j = u32::try_from(job.0).map_err(|_| format!("{job} does not fit the start log"))?;
+        let m = u32::try_from(machine.index())
+            .map_err(|_| format!("{machine} does not fit the start log"))?;
+        self.0.push((j, m));
+        Ok(())
+    }
+
+    /// Number of starts logged.
+    pub fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// Whether no start is logged.
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+}
+
+/// Folds one interval's [`StartLog`] into [`IntervalSnapshot::assignments`]
+/// rows, each allocated at its exact length, and empties the log (keeping
+/// its capacity for the next interval).
+///
+/// # Examples
+///
+/// ```
+/// use cluster::MachineId;
+/// use hadoop_sim::{fold_starts, StartLog};
+/// use workload::JobId;
+///
+/// let mut log = StartLog::default();
+/// for (job, machine) in [(1, 4), (0, 2), (1, 0), (1, 4)] {
+///     log.push(JobId(job), MachineId(machine)).unwrap();
+/// }
 /// let rows = fold_starts(&mut log);
 /// assert_eq!(rows[&JobId(0)], vec![(MachineId(2), 1)]);
 /// assert_eq!(rows[&JobId(1)], vec![(MachineId(0), 1), (MachineId(4), 2)]);
 /// assert!(log.is_empty());
 /// ```
-pub fn fold_starts(starts: &mut Vec<(JobId, MachineId)>) -> BTreeMap<JobId, Vec<(MachineId, u64)>> {
-    starts.sort_unstable();
-    let rows = starts
+pub fn fold_starts(starts: &mut StartLog) -> BTreeMap<JobId, Vec<(MachineId, u64)>> {
+    let log = &mut starts.0;
+    log.sort_unstable();
+    let rows = log
         .chunk_by(|a, b| a.0 == b.0)
         .map(|job_starts| {
-            let row = job_starts
-                .chunk_by(|a, b| a == b)
-                .map(|run| (run[0].1, run.len() as u64))
-                .collect();
-            (job_starts[0].0, row)
+            let runs = || job_starts.chunk_by(|a, b| a == b);
+            let mut row = Vec::with_capacity(runs().count());
+            row.extend(runs().map(|run| (MachineId(run[0].1 as usize), run.len() as u64)));
+            (JobId(u64::from(job_starts[0].0)), row)
         })
         .collect();
-    starts.clear();
+    log.clear();
     rows
 }
 

@@ -12,9 +12,8 @@
 
 use std::collections::BTreeMap;
 
-use cluster::MachineId;
 use hadoop_sim::trace::Observer;
-use hadoop_sim::{fold_starts, IntervalSnapshot, RunResult, SimEvent};
+use hadoop_sim::{fold_starts, IntervalSnapshot, RunResult, SimEvent, StartLog};
 use simcore::series::TimeSeries;
 use simcore::{SimDuration, SimTime};
 use workload::JobId;
@@ -34,7 +33,7 @@ pub struct StreamingRunStats {
     completions: BTreeMap<JobId, f64>,
     /// Fresh task starts since the last control tick, folded by the
     /// engine's own [`fold_starts`].
-    current_starts: Vec<(JobId, MachineId)>,
+    current_starts: StartLog,
     intervals: Vec<IntervalSnapshot>,
     energy_series: TimeSeries,
     makespan: Option<SimDuration>,
@@ -59,7 +58,7 @@ impl StreamingRunStats {
             events_seen: 0,
             submitted_at: BTreeMap::new(),
             completions: BTreeMap::new(),
-            current_starts: Vec::new(),
+            current_starts: StartLog::default(),
             intervals: Vec::new(),
             energy_series: TimeSeries::new("cumulative_energy_joules"),
             makespan: None,
@@ -149,9 +148,10 @@ impl StreamingRunStats {
     }
 
     /// The first way the stream contradicted itself, if any: a
-    /// `map_output_lost` with no won `task_completed` to roll back, or a
-    /// `run_finished` footer whose task count differs from the streamed
-    /// one. The fold never panics on such a stream; it records the defect
+    /// `map_output_lost` with no won `task_completed` to roll back, a
+    /// `task_started` whose job id or machine index does not fit the
+    /// 32-bit [`StartLog`], or a `run_finished` footer whose task count
+    /// differs from the streamed one. The fold never panics on such a stream; it records the defect
     /// here and [`StreamingRunStats::matches`] reports it.
     pub fn inconsistency(&self) -> Option<&str> {
         self.inconsistency.as_deref()
@@ -294,7 +294,9 @@ impl Observer<SimEvent> for StreamingRunStats {
                     "{machine} is outside the {}-machine fleet",
                     self.num_machines
                 );
-                self.current_starts.push((task.job, *machine));
+                if let Err(defect) = self.current_starts.push(task.job, *machine) {
+                    self.note_inconsistency(at, defect);
+                }
             }
             SimEvent::TaskCompleted { won: true, .. } => {
                 self.total_tasks += 1;
@@ -364,7 +366,7 @@ impl Observer<SimEvent> for StreamingRunStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cluster::SlotKind;
+    use cluster::{MachineId, SlotKind};
     use workload::{TaskId, TaskIndex};
 
     fn task(job: u64, index: u32) -> TaskId {
@@ -556,6 +558,17 @@ mod tests {
         assert_eq!(s.total_tasks(), 0);
         let defect = s.inconsistency().expect("a loss before any win");
         assert!(defect.contains("map_output_lost"), "{defect}");
+
+        // A start beyond the 32-bit start log is recorded, not logged.
+        let mut s = StreamingRunStats::new(1);
+        let start = SimEvent::TaskStarted {
+            task: task(1 << 32, 0),
+            machine: MachineId(0),
+            speculative: false,
+        };
+        s.on_event(SimTime::from_secs(1), &start);
+        let defect = s.inconsistency().expect("a job id past u32");
+        assert!(defect.contains("does not fit the start log"), "{defect}");
 
         // A real run folds consistently; a second footer that disagrees
         // with the streamed count makes `matches` fail.

@@ -1,79 +1,26 @@
 //! Memory a long open-stream run retains.
 //!
-//! A counting global allocator (std only) tracks live heap bytes. E-Ant
-//! runs an open job stream with no observer attached at a horizon `H` and
-//! at `4H`; the bytes freed by dropping the scheduler afterwards are what
-//! it kept across the run. Its policy state covers the jobs in flight, not
+//! The shared counting allocator tracks live heap bytes. E-Ant runs an
+//! open job stream with no observer attached at a horizon `H` and at `4H`;
+//! the bytes freed by dropping the scheduler afterwards are what it kept
+//! across the run. Its policy state covers the jobs in flight, not
 //! every interval it has seen, so that figure must not grow with the
 //! horizon.
 //!
 //! This file holds a single test: the allocator counts every thread of the
 //! process, and a second test running alongside would pollute the count.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicIsize, Ordering};
+#[path = "support/counting_alloc.rs"]
+mod counting_alloc;
 
 use cluster::Fleet;
+use counting_alloc::live_bytes;
 use eant::{EAntConfig, EAntScheduler};
 use hadoop_sim::{Engine, EngineConfig, StopCondition};
 use simcore::{SimDuration, SimRng};
 use workload::arrival::OpenArrival;
 use workload::open::{OpenJobTemplate, OpenStream, OpenStreamSpec};
 use workload::BenchmarkKind;
-
-/// Live heap bytes of the whole process. A statistic that publishes no
-/// other data, so `Relaxed` suffices.
-static LIVE: AtomicIsize = AtomicIsize::new(0);
-
-struct Counting;
-
-// SAFETY: every method forwards to `System` with the caller's arguments
-// unchanged, so `System`'s guarantees carry over; the counter update
-// touches no memory the allocator hands out.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
-        let ptr = unsafe { System.alloc(layout) };
-        if !ptr.is_null() {
-            LIVE.fetch_add(layout.size() as isize, Ordering::Relaxed);
-        }
-        ptr
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        // SAFETY: the caller upholds `GlobalAlloc::alloc_zeroed`'s contract.
-        let ptr = unsafe { System.alloc_zeroed(layout) };
-        if !ptr.is_null() {
-            LIVE.fetch_add(layout.size() as isize, Ordering::Relaxed);
-        }
-        ptr
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: the caller upholds `GlobalAlloc::dealloc`'s contract.
-        unsafe { System.dealloc(ptr, layout) };
-        LIVE.fetch_sub(layout.size() as isize, Ordering::Relaxed);
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        // SAFETY: the caller upholds `GlobalAlloc::realloc`'s contract.
-        let new = unsafe { System.realloc(ptr, layout, new_size) };
-        if !new.is_null() {
-            LIVE.fetch_add(
-                new_size as isize - layout.size() as isize,
-                Ordering::Relaxed,
-            );
-        }
-        new
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: Counting = Counting;
-
-fn live_bytes() -> isize {
-    LIVE.load(Ordering::Relaxed)
-}
 
 /// Runs E-Ant without observers on an open Poisson stream over the paper
 /// fleet for `horizon` and returns the heap bytes the scheduler held at

@@ -292,13 +292,14 @@ fn arena_task_state_matches_per_task_oracle() {
 
 /// [`hadoop_sim::fold_starts`] keeps exactly the nonzero cells of the dense
 /// per-job, per-machine count rows the engine used to accumulate, in
-/// ascending machine order, and a result built from the sparse rows renders
-/// byte for byte as the dense rows did. Random fleets and start logs cover
-/// repeated pairs, the first and last machine, many jobs, a log reused
-/// across intervals and intervals with no start at all.
+/// ascending machine order, each row allocated at its exact length, and a
+/// result built from the sparse rows renders byte for byte as the dense
+/// rows did. Random fleets and packed start logs cover repeated pairs, the
+/// first and last machine, many jobs, a log reused across intervals and
+/// intervals with no start at all.
 #[test]
 fn interval_rows_match_dense_oracle() {
-    use hadoop_sim::{fold_starts, IntervalSnapshot, MachineOutcome, RunResult};
+    use hadoop_sim::{fold_starts, IntervalSnapshot, MachineOutcome, RunResult, StartLog};
     use metrics::emit::{run_result_json, JsonValue, ToJson};
     use simcore::series::TimeSeries;
     use simcore::SimDuration;
@@ -306,7 +307,13 @@ fn interval_rows_match_dense_oracle() {
     check("interval_rows_match_dense_oracle", 128, |rng| {
         let machines = rng.uniform_u64(1, 40) as usize;
         let jobs = rng.uniform_u64(1, 60);
-        let mut log: Vec<(JobId, MachineId)> = Vec::new();
+        // Half the cases use the top of the 32-bit job range the log packs.
+        let first_job = if rng.chance(0.5) {
+            0
+        } else {
+            u64::from(u32::MAX) + 1 - jobs
+        };
+        let mut log = StartLog::default();
         let mut intervals = Vec::new();
         let mut rendered = Vec::new();
         for i in 0..rng.uniform_u64(1, 6) {
@@ -318,17 +325,29 @@ fn interval_rows_match_dense_oracle() {
             // The oracle: the dense row accumulation the engine replaced.
             let mut dense: BTreeMap<JobId, Vec<u64>> = BTreeMap::new();
             for _ in 0..starts {
-                let job = JobId(rng.uniform_u64(0, jobs - 1));
+                let job = JobId(first_job + rng.uniform_u64(0, jobs - 1));
                 let machine = MachineId(match rng.uniform_u64(0, 3) {
                     0 => 0,
                     1 => machines - 1,
                     _ => rng.uniform_u64(0, machines as u64 - 1) as usize,
                 });
-                log.push((job, machine));
+                log.push(job, machine).expect("small ids fit the log");
                 dense.entry(job).or_insert_with(|| vec![0; machines])[machine.index()] += 1;
             }
+            // An id beyond 32 bits is refused and logs nothing.
+            let logged = log.len();
+            assert!(log.push(JobId(1 << 32), MachineId(0)).is_err());
+            assert!(log.push(JobId(0), MachineId(1 << 32)).is_err());
+            assert_eq!(log.len(), logged);
             let rows = fold_starts(&mut log);
             assert!(log.is_empty(), "the fold must empty the start log");
+            for (job, row) in &rows {
+                assert_eq!(
+                    row.capacity(),
+                    row.len(),
+                    "interval {i}, {job}: row is not exact"
+                );
+            }
             let want: BTreeMap<JobId, Vec<(MachineId, u64)>> = dense
                 .iter()
                 .map(|(&job, row)| {
