@@ -843,3 +843,27 @@ fn registry_and_series_digests_are_pinned() {
         );
     }
 }
+
+/// Exact FNV-1a 64 digest of the `breach.json` that the overload SLO
+/// scenario's E-Ant cell writes into its postmortem bundle (seed 2015,
+/// fast). Re-derive with `--nocapture`.
+#[test]
+fn overload_breach_record_digest_is_pinned() {
+    use experiments::scenario::{library_dir, load_spec};
+    use experiments::slo::run_monitored;
+
+    let spec = load_spec(&library_dir().join("serve-overload-burst-slo.json"))
+        .unwrap_or_else(|e| panic!("{e}"));
+    let eant = spec
+        .schedulers
+        .iter()
+        .find(|k| k.label() == "E-Ant")
+        .expect("slo scenario compares E-Ant");
+    let bundle = run_monitored(&spec, eant, 2015, true)
+        .postmortem
+        .expect("E-Ant breaches the overload SLO");
+    let breach = bundle.breach_json().render();
+    let digest = fnv1a_64(breach.as_bytes());
+    println!("breach.json: {digest:#018x} {breach}");
+    assert_eq!(digest, 0x9ff7320386ef067d, "overload breach.json drifted");
+}

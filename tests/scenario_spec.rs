@@ -257,3 +257,22 @@ fn committed_baseline_covers_the_library_with_current_keys() {
         }
     }
 }
+
+/// The committed baseline DB re-renders byte for byte: every record,
+/// drain-run and open-stream alike, parses back to a value whose canonical
+/// line is the one on disk.
+#[test]
+fn committed_baseline_renders_byte_identically() {
+    let path = library_dir().join("../runs/baseline-fast.jsonl");
+    let text = std::fs::read_to_string(&path).expect("baseline DB reads");
+    let db = RunDb::load(&path).unwrap_or_else(|e| panic!("{e}"));
+    assert_eq!(db.records.len(), 54, "baseline DB record count");
+    assert!(
+        db.records.iter().any(|r| r.open_stream),
+        "baseline DB has open-stream records"
+    );
+    assert!(
+        db.render() == text,
+        "baseline DB does not re-render byte-identically"
+    );
+}
