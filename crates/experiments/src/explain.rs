@@ -35,6 +35,7 @@ use metrics::registry::SeriesSnapshot;
 use simcore::SimTime;
 use workload::JobId;
 
+use crate::slo::{BreachRecord, BREACH};
 use crate::timeline::decision_breakdown;
 use crate::view::{load_trace, ClusterView, MachineRow, TraceLine};
 
@@ -447,36 +448,24 @@ fn reinforcement_lines(a: &Analysis) -> String {
 }
 
 /// Renders the breach header of a postmortem bundle.
-fn breach_header(doc: &JsonValue) -> String {
-    let str_of = |k: &str| {
-        doc.get(k)
-            .and_then(JsonValue::as_str)
-            .unwrap_or("?")
-            .to_owned()
-    };
-    let num = |k: &str| doc.get(k).and_then(JsonValue::as_f64).unwrap_or(0.0);
-    let uint = |k: &str| doc.get(k).and_then(JsonValue::as_u64).unwrap_or(0);
+fn breach_header(b: &BreachRecord) -> String {
     format!(
         "SLO breach — scenario {} / {} seed {}{}\n\
            monitor {}: observed {:.1} > threshold {:.1} at t={:.1} s\n\
            window at breach: p99 sojourn {:.1} s over {} completions, queue \
          depth {}, backlog growth {:+.1} tasks/min\n",
-        str_of("scenario"),
-        str_of("scheduler"),
-        uint("seed"),
-        if doc.get("fast").and_then(JsonValue::as_bool) == Some(true) {
-            " (fast)"
-        } else {
-            ""
-        },
-        str_of("monitor"),
-        num("observed"),
-        num("threshold"),
-        uint("at_ms") as f64 / 1000.0,
-        num("p99_sojourn_s"),
-        uint("window_completions"),
-        uint("queue_depth"),
-        num("backlog_growth_per_min"),
+        b.scenario,
+        b.scheduler,
+        b.seed,
+        if b.fast { " (fast)" } else { "" },
+        b.monitor,
+        b.observed,
+        b.threshold,
+        b.at.as_secs_f64(),
+        b.p99_sojourn_s,
+        b.window_completions,
+        b.queue_depth,
+        b.backlog_growth_per_min,
     )
 }
 
@@ -546,11 +535,11 @@ pub fn run(path: &Path) -> Result<String, String> {
 fn explain_bundle(dir: &Path) -> Result<String, String> {
     let events = load_trace(&dir.join("events.jsonl"))?;
     let breach_path = dir.join("breach.json");
-    let breach = std::fs::read_to_string(&breach_path)
-        .map_err(|e| format!("cannot read {}: {e}", breach_path.display()))
-        .and_then(|text| {
-            JsonValue::parse(&text).map_err(|e| format!("{}: {e}", breach_path.display()))
-        })?;
+    let text = std::fs::read_to_string(&breach_path)
+        .map_err(|e| format!("cannot read {}: {e}", breach_path.display()))?;
+    let breach = JsonValue::parse(&text)
+        .and_then(|doc| BREACH.read_root(&doc).map_err(|e| e.to_string()))
+        .map_err(|e| format!("{}: {e}", breach_path.display()))?;
     let series = match std::fs::read_to_string(dir.join("series.json")) {
         Ok(text) => Some(
             SeriesSnapshot::parse(&text)
@@ -654,6 +643,27 @@ mod tests {
         assert!(report.contains("monitor p99_sojourn"), "{report}");
         assert!(report.contains("Reinforced placements"), "{report}");
         assert!(report.contains("tail blame: machine group"), "{report}");
+
+        // A malformed breach record is an error naming the file and the
+        // field, not a header of made-up values.
+        let breach_path = dir.join("breach.json");
+        let breach = std::fs::read_to_string(&breach_path).unwrap();
+        for (seed, expect) in [
+            ("", "`seed`: missing required key"),
+            (
+                "\"seed\":\"x\",",
+                "`seed`: expected an unsigned integer, found a string",
+            ),
+        ] {
+            let bad = breach.replacen("\"seed\":2015,", seed, 1);
+            assert_ne!(bad, breach);
+            std::fs::write(&breach_path, bad).unwrap();
+            let err = run(&dir).unwrap_err();
+            assert!(
+                err.contains("breach.json: ") && err.contains(expect),
+                "{err}"
+            );
+        }
         std::fs::remove_dir_all(&root).ok();
     }
 

@@ -26,8 +26,7 @@ mod spec;
 
 pub use rundb::{compare, CompareReport, Delta, RunDb, RunRecord};
 pub use spec::{
-    scheduler_to_json, FleetGroup, FleetSpec, ScenarioSpec, ServeSpec, ServeTolerance, Tolerance,
-    WorkloadSpec,
+    FleetGroup, FleetSpec, ScenarioSpec, ServeSpec, ServeTolerance, Tolerance, WorkloadSpec,
 };
 
 use std::fmt::Write as _;

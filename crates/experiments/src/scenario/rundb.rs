@@ -20,14 +20,14 @@ use std::fmt::Write as _;
 use std::path::Path;
 
 use hadoop_sim::RunResult;
-use metrics::emit::{object, run_result_json, JsonValue};
-use metrics::spec::{snippet, ObjectView, SpecError};
+use metrics::emit::{run_result_json, JsonValue};
+use metrics::spec::{snippet, Bool, Codec, Obj, OmitIf, Raw, Str, F64, U64};
 
-use super::spec::{ScenarioSpec, ServeTolerance, Tolerance};
+use super::spec::{ScenarioSpec, ServeTolerance, Tolerance, SERVE_TOLERANCE, TOLERANCE};
 use crate::common::SchedulerKind;
 
 /// One executed (scenario, scheduler, seed, scale) cell with its result.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RunRecord {
     /// Manifest key: content hash of spec + scheduler + seed + scale.
     pub key: String,
@@ -112,120 +112,28 @@ impl RunRecord {
     /// emitted only for open-stream records, so every pre-existing
     /// drain-run line stays byte-identical.
     pub fn to_json(&self) -> JsonValue {
-        let mut fields = Vec::from([
-            ("key", JsonValue::Str(self.key.clone())),
-            ("scenario", JsonValue::Str(self.scenario.clone())),
-            ("scheduler", JsonValue::Str(self.scheduler.clone())),
-            ("seed", JsonValue::UInt(self.seed)),
-            ("fast", JsonValue::Bool(self.fast)),
-            (
-                "tolerance",
-                object([
-                    ("energy_rel", JsonValue::Num(self.tolerance.energy_rel)),
-                    ("makespan_rel", JsonValue::Num(self.tolerance.makespan_rel)),
-                ]),
-            ),
-            ("energy_joules", JsonValue::Num(self.energy_joules)),
-            ("makespan_s", JsonValue::Num(self.makespan_s)),
-            ("drained", JsonValue::Bool(self.drained)),
-        ]);
-        if self.open_stream {
-            fields.push(("open_stream", JsonValue::Bool(true)));
-            fields.push((
-                "serve_tolerance",
-                object([
-                    ("p99_rel", JsonValue::Num(self.serve_tolerance.p99_rel)),
-                    (
-                        "energy_per_job_rel",
-                        JsonValue::Num(self.serve_tolerance.energy_per_job_rel),
-                    ),
-                ]),
-            ));
-            fields.push(("p99_sojourn_s", JsonValue::Num(self.p99_sojourn_s)));
-            fields.push(("energy_per_job_j", JsonValue::Num(self.energy_per_job_j)));
-        }
-        fields.push(("result", JsonValue::Raw(self.result.clone())));
-        object(fields)
-    }
-
-    fn from_json(doc: &JsonValue) -> Result<Self, SpecError> {
-        let view = ObjectView::root(doc)?;
-        view.deny_unknown(&[
-            "key",
-            "scenario",
-            "scheduler",
-            "seed",
-            "fast",
-            "tolerance",
-            "energy_joules",
-            "makespan_s",
-            "drained",
-            "open_stream",
-            "serve_tolerance",
-            "p99_sojourn_s",
-            "energy_per_job_j",
-            "result",
-        ])?;
-        let tol = view.obj("tolerance")?;
-        let fast = match view.required("fast")? {
-            JsonValue::Bool(b) => *b,
-            _ => {
-                return Err(SpecError::new(
-                    view.child_path("fast"),
-                    "expected a boolean",
-                ))
-            }
-        };
-        let drained = match view.required("drained")? {
-            JsonValue::Bool(b) => *b,
-            _ => {
-                return Err(SpecError::new(
-                    view.child_path("drained"),
-                    "expected a boolean",
-                ))
-            }
-        };
-        let open_stream = match view.get("open_stream") {
-            None => false,
-            Some(JsonValue::Bool(b)) => *b,
-            Some(_) => {
-                return Err(SpecError::new(
-                    view.child_path("open_stream"),
-                    "expected a boolean",
-                ))
-            }
-        };
-        let serve_tolerance = match view.opt_obj("serve_tolerance")? {
-            None => ServeTolerance::default(),
-            Some(st) => {
-                st.deny_unknown(&["p99_rel", "energy_per_job_rel"])?;
-                ServeTolerance {
-                    p99_rel: st.f64("p99_rel")?,
-                    energy_per_job_rel: st.f64("energy_per_job_rel")?,
-                }
-            }
-        };
-        Ok(RunRecord {
-            key: view.string("key")?.to_owned(),
-            scenario: view.string("scenario")?.to_owned(),
-            scheduler: view.string("scheduler")?.to_owned(),
-            seed: view.u64("seed")?,
-            fast,
-            tolerance: Tolerance {
-                energy_rel: tol.f64("energy_rel")?,
-                makespan_rel: tol.f64("makespan_rel")?,
-            },
-            energy_joules: view.f64("energy_joules")?,
-            makespan_s: view.f64("makespan_s")?,
-            drained,
-            open_stream,
-            serve_tolerance,
-            p99_sojourn_s: view.opt_f64("p99_sojourn_s")?.unwrap_or(0.0),
-            energy_per_job_j: view.opt_f64("energy_per_job_j")?.unwrap_or(0.0),
-            result: view.required("result")?.render(),
-        })
+        RECORD.write(&mut self.clone())
     }
 }
+
+const RECORD: Obj<RunRecord> = Obj::new(RunRecord::default, |r, v| {
+    v.required("key", Str, &mut r.key);
+    v.required("scenario", Str, &mut r.scenario);
+    v.required("scheduler", Str, &mut r.scheduler);
+    v.required("seed", U64, &mut r.seed);
+    v.required("fast", Bool, &mut r.fast);
+    v.required("tolerance", TOLERANCE, &mut r.tolerance);
+    v.required("energy_joules", F64, &mut r.energy_joules);
+    v.required("makespan_s", F64, &mut r.makespan_s);
+    v.required("drained", Bool, &mut r.drained);
+    v.field("open_stream", OmitIf(Bool, |b| !b), &mut r.open_stream);
+    if r.open_stream {
+        v.field("serve_tolerance", SERVE_TOLERANCE, &mut r.serve_tolerance);
+        v.field("p99_sojourn_s", F64, &mut r.p99_sojourn_s);
+        v.field("energy_per_job_j", F64, &mut r.energy_per_job_j);
+    }
+    v.required("result", Raw, &mut r.result);
+});
 
 /// A collection of [`RunRecord`]s, stored as sorted JSONL.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -256,7 +164,7 @@ impl RunDb {
                 format!("line {}: {e}; offending line: {}", idx + 1, snippet(line))
             };
             let doc = JsonValue::parse(line).map_err(|e| at(&e))?;
-            records.push(RunRecord::from_json(&doc).map_err(|e| at(&e))?);
+            records.push(RECORD.read_root(&doc).map_err(|e| at(&e))?);
         }
         Ok(RunDb { records })
     }
@@ -814,5 +722,15 @@ mod tests {
         assert!(err.contains("missing required key"), "{err}");
         let err = RunDb::parse("{\"key\": \"x\"\n").unwrap_err();
         assert!(err.contains("offending line:"), "{err}");
+        // Unknown keys are rejected inside the nested tolerances too.
+        let text = db(vec![record("s", "Fair", 1, 2.0e6)]).render();
+        let stray = text.replacen(
+            "\"makespan_rel\":0.01",
+            "\"makespan_rel\":0.01,\"p50\":1",
+            1,
+        );
+        assert_ne!(stray, text);
+        let err = RunDb::parse(&stray).unwrap_err();
+        assert!(err.contains("`tolerance.p50`: unknown key"), "{err}");
     }
 }

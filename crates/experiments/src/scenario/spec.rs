@@ -3,17 +3,21 @@
 //!
 //! # Normal form
 //!
-//! [`ScenarioSpec::to_json`] always emits *every* field in a fixed key
-//! order, so `emit ∘ parse ∘ emit` is byte-identical (the property test's
-//! parser/emitter inverse pair). Parsing is omission-friendly: any engine
-//! knob left out takes the engine's own default, `fleet` defaults to the
-//! paper's 16-node testbed, and `tolerance` to ±1 %.
+//! Each type of the spec tree lists its fields once (see
+//! [`metrics::spec`]), and that list both writes and reads it.
+//! [`ScenarioSpec::to_json`] emits every listed field in key order (only
+//! `serve` and `slo` are left out when unset), so `emit ∘ parse ∘ emit` is
+//! byte-identical (the property test's parser/emitter inverse pair).
+//! Parsing is omission-friendly: any engine knob left out takes the
+//! engine's own default, `fleet` defaults to the paper's 16-node testbed,
+//! and `tolerance` to ±1 %.
 //!
 //! # Validation
 //!
 //! Every panic in the engine/workload constructors (`EngineConfig::validate`,
-//! `MsdConfig::generate`, …) is mirrored here as a [`SpecError`] *before*
-//! any value is constructed, so a malformed file reports
+//! `MsdConfig::generate`, …) is mirrored here as a [`SpecError`] — a
+//! field's range check in its codec, a cross-field rule after the read —
+//! before the spec runs, so a malformed file reports
 //! `line N: \`engine.fault.crash_mtbf_s\`: …; offending line: …` instead of
 //! crashing mid-run.
 
@@ -23,16 +27,17 @@ use hadoop_sim::{
     DvfsConfig, Engine, EngineConfig, FaultConfig, NoiseConfig, PowerDownConfig, RunResult,
     Scheduler, SloConfig, SpeculationPolicy, StopCondition,
 };
-use metrics::emit::{object, JsonValue};
+use metrics::emit::{object, JsonValue, SIZE_CLASSES};
 use metrics::spec::{
-    ensure, fnv1a_64, kind_name, syntax_context, with_context, ObjectView, SpecError,
+    ensure, fnv1a_64, syntax_context, with_context, Bool, Check, Codec, Int, List, Map, Names, Obj,
+    OmitIf, Opt, Pair, SpecError, Str, Tags, Visitor, F64, U32, U64, USIZE,
 };
 use simcore::{SimDuration, SimRng, SimTime};
 use workload::arrival::{DiurnalPeak, DiurnalProfile, OpenArrival};
 use workload::mix::{self, BenchmarkChoice, StreamArrival, StreamSpec};
 use workload::msd::MsdConfig;
 use workload::open::{OpenJobTemplate, OpenStream, OpenStreamSpec};
-use workload::{BenchmarkKind, JobSpec, SizeClass};
+use workload::{BenchmarkKind, JobSpec};
 
 use crate::common::SchedulerKind;
 
@@ -88,7 +93,7 @@ impl Default for ServeTolerance {
 
 /// The service-mode section of a scenario: horizon timing (with optional
 /// `--fast` overrides) and service-metric tolerances.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ServeSpec {
     /// Warm-up period excluded from steady-state accounting.
     pub warmup: SimDuration,
@@ -117,7 +122,7 @@ impl ServeSpec {
 }
 
 /// One homogeneous group of a custom fleet.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FleetGroup {
     /// Shipped profile name ([`cluster::profiles::by_name`]).
     pub profile: String,
@@ -185,171 +190,14 @@ impl ScenarioSpec {
     /// or on any schema/range violation.
     pub fn parse(input: &str) -> Result<Self, String> {
         let doc = JsonValue::parse(input).map_err(|e| syntax_context(input, &e))?;
-        Self::from_json(&doc).map_err(|e| with_context(input, &e))
-    }
-
-    /// Decodes a parsed JSON document.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SpecError`] naming the offending dotted path.
-    pub fn from_json(doc: &JsonValue) -> Result<Self, SpecError> {
-        let root = ObjectView::root(doc)?;
-        root.deny_unknown(&[
-            "name",
-            "description",
-            "seeds",
-            "schedulers",
-            "workload",
-            "fast_workload",
-            "fleet",
-            "engine",
-            "tolerance",
-            "serve",
-            "slo",
-        ])?;
-
-        let name = root.string("name")?.to_owned();
-        ensure(
-            !name.is_empty(),
-            &root.child_path("name"),
-            "must not be empty",
-        )?;
-        let description = root.opt_string("description")?.unwrap_or("").to_owned();
-
-        let seeds_path = root.child_path("seeds");
-        let mut seeds = Vec::new();
-        for (i, v) in root.array("seeds")?.iter().enumerate() {
-            match v {
-                JsonValue::UInt(n) => seeds.push(*n),
-                other => {
-                    return Err(SpecError::new(
-                        format!("{seeds_path}[{i}]"),
-                        format!("expected an unsigned integer, found {}", kind_name(other)),
-                    ))
-                }
-            }
-        }
-        ensure(
-            !seeds.is_empty(),
-            &seeds_path,
-            "must list at least one seed",
-        )?;
-
-        let sched_path = root.child_path("schedulers");
-        let mut schedulers = Vec::new();
-        for (i, v) in root.array("schedulers")?.iter().enumerate() {
-            schedulers.push(scheduler_from_json(v, &format!("{sched_path}[{i}]"))?);
-        }
-        ensure(
-            !schedulers.is_empty(),
-            &sched_path,
-            "must list at least one scheduler",
-        )?;
-
-        let workload = workload_from_json(&root.obj("workload")?)?;
-        let fast_workload = root
-            .opt_obj("fast_workload")?
-            .map(|v| workload_from_json(&v))
-            .transpose()?;
-        let fleet = match root.opt_obj("fleet")? {
-            Some(v) => fleet_from_json(&v)?,
-            None => FleetSpec::Paper,
-        };
-        let engine = match root.opt_obj("engine")? {
-            Some(v) => engine_from_json(&v)?,
-            None => EngineConfig::default(),
-        };
-        let tolerance = match root.opt_obj("tolerance")? {
-            Some(v) => tolerance_from_json(&v)?,
-            None => Tolerance::default(),
-        };
-        let serve = root
-            .opt_obj("serve")?
-            .map(|v| serve_from_json(&v))
-            .transpose()?;
-        let slo = root
-            .opt_obj("slo")?
-            .map(|v| slo_from_json(&v))
-            .transpose()?;
-
-        // Open workloads and the serve section come as a pair: the horizon
-        // is what bounds an unbounded stream, and a drain workload has no
-        // steady-state window to measure.
-        let is_open = |w: &WorkloadSpec| matches!(w, WorkloadSpec::Open(_));
-        if serve.is_some() {
-            ensure(
-                is_open(&workload),
-                &root.child_path("workload"),
-                "a scenario with a `serve` section must use an open workload",
-            )?;
-            ensure(
-                fast_workload.as_ref().is_none_or(is_open),
-                &root.child_path("fast_workload"),
-                "the fast workload of a serve scenario must also be open",
-            )?;
-        } else {
-            ensure(
-                !is_open(&workload) && !fast_workload.as_ref().is_some_and(is_open),
-                &root.child_path("workload"),
-                "an open workload requires a `serve` section",
-            )?;
-        }
-
-        Ok(ScenarioSpec {
-            name,
-            description,
-            seeds,
-            schedulers,
-            workload,
-            fast_workload,
-            fleet,
-            engine,
-            tolerance,
-            serve,
-            slo,
-        })
+        SPEC.read_root(&doc).map_err(|e| with_context(input, &e))
     }
 
     /// Emits the full normal form (every field in a fixed key order; the
-    /// `serve` key appears only on service scenarios, so pre-service-mode
-    /// scenario files — and therefore their manifest keys — are unchanged).
+    /// `serve` and `slo` keys appear only when set, so scenario files
+    /// without them — and therefore their manifest keys — are unchanged).
     pub fn to_json(&self) -> JsonValue {
-        let mut fields = Vec::from([
-            ("name", JsonValue::Str(self.name.clone())),
-            ("description", JsonValue::Str(self.description.clone())),
-            (
-                "seeds",
-                JsonValue::Array(self.seeds.iter().map(|&s| JsonValue::UInt(s)).collect()),
-            ),
-            (
-                "schedulers",
-                JsonValue::Array(self.schedulers.iter().map(scheduler_to_json).collect()),
-            ),
-            ("workload", workload_to_json(&self.workload)),
-            (
-                "fast_workload",
-                self.fast_workload
-                    .as_ref()
-                    .map_or(JsonValue::Null, workload_to_json),
-            ),
-            ("fleet", fleet_to_json(&self.fleet)),
-            ("engine", engine_to_json(&self.engine)),
-            (
-                "tolerance",
-                object([
-                    ("energy_rel", JsonValue::Num(self.tolerance.energy_rel)),
-                    ("makespan_rel", JsonValue::Num(self.tolerance.makespan_rel)),
-                ]),
-            ),
-        ]);
-        if let Some(serve) = &self.serve {
-            fields.push(("serve", serve_to_json(serve)));
-        }
-        if let Some(slo) = &self.slo {
-            fields.push(("slo", slo_to_json(slo)));
-        }
-        object(fields)
+        SPEC.write(&mut self.clone())
     }
 
     /// The compact canonical rendering of [`ScenarioSpec::to_json`].
@@ -477,7 +325,7 @@ impl ScenarioSpec {
     pub fn manifest(&self, kind: &SchedulerKind, seed: u64, fast: bool) -> JsonValue {
         object([
             ("spec", self.to_json()),
-            ("scheduler", scheduler_to_json(kind)),
+            ("scheduler", SCHEDULER.write(&mut kind.clone())),
             ("seed", JsonValue::UInt(seed)),
             ("fast", JsonValue::Bool(fast)),
         ])
@@ -494,1418 +342,638 @@ impl ScenarioSpec {
     }
 }
 
-/// Emits a duration as whole seconds when exact, fractional otherwise.
-fn duration_to_json(d: SimDuration) -> JsonValue {
-    if d.as_millis().is_multiple_of(1000) {
-        JsonValue::UInt(d.as_millis() / 1000)
-    } else {
-        JsonValue::Num(d.as_secs_f64())
-    }
-}
+// ---------------------------------------------------------------------------
+// Field lists: each persisted type names its fields once, in key order, and
+// the one list both writes the normal form and reads a document.
 
-/// Reads an optional `*_s` duration field; `require_positive` mirrors the
-/// engine's zero-rejection panics as spec errors.
-fn opt_duration(
-    view: &ObjectView<'_>,
-    key: &str,
-    require_positive: bool,
-) -> Result<Option<SimDuration>, SpecError> {
-    match view.opt_f64(key)? {
-        None => Ok(None),
-        Some(secs) => {
-            let path = view.child_path(key);
-            ensure(
-                secs.is_finite() && secs >= 0.0,
-                &path,
-                "must be a non-negative number",
-            )?;
-            let d = SimDuration::from_secs_f64(secs);
-            if require_positive {
-                ensure(!d.is_zero(), &path, "must be positive")?;
-            }
-            Ok(Some(d))
+/// A duration in seconds: an integer when whole, fractional otherwise.
+#[derive(Debug, Clone, Copy)]
+struct Secs;
+
+impl Codec for Secs {
+    type Value = SimDuration;
+
+    fn write(&self, value: &mut SimDuration) -> JsonValue {
+        if value.as_millis().is_multiple_of(1000) {
+            JsonValue::UInt(value.as_millis() / 1000)
+        } else {
+            JsonValue::Num(value.as_secs_f64())
+        }
+    }
+
+    fn read(&self, json: &JsonValue, path: &dyn Fn() -> String) -> Result<SimDuration, SpecError> {
+        let secs = F64.read(json, path)?;
+        if secs.is_finite() && secs >= 0.0 {
+            Ok(SimDuration::from_secs_f64(secs))
+        } else {
+            Err(SpecError::new(path(), "must be a non-negative number"))
         }
     }
 }
 
-// ---------------------------------------------------------------------------
+const POSITIVE_SECS: Check<Secs> = Check::new(Secs, |d| !d.is_zero(), "must be positive");
+const POSITIVE: Check<F64> = Check::new(F64, |x| x.is_finite() && *x > 0.0, "must be positive");
+const NON_NEGATIVE: Check<F64> =
+    Check::new(F64, |x| x.is_finite() && *x >= 0.0, "must be non-negative");
+const PROBABILITY: Check<F64> = Check::new(F64, |x| (0.0..=1.0).contains(x), "must be in [0, 1]");
+const FRACTION: Check<F64> = Check::new(F64, |x| *x > 0.0 && *x <= 1.0, "must be in (0, 1]");
+const AT_LEAST_ONE: Check<F64> = Check::new(F64, |x| *x >= 1.0, "must be >= 1");
+const COUNT: Check<Int<usize>> = Check::new(USIZE, |n| *n > 0, "must be positive");
+const POSITIVE_U32: Check<Int<u32>> =
+    Check::new(U32, |n| *n > 0, "must be a positive 32-bit integer");
+
+const SPEC: Obj<ScenarioSpec> = Obj::new(
+    || ScenarioSpec {
+        name: String::new(),
+        description: String::new(),
+        seeds: Vec::new(),
+        schedulers: Vec::new(),
+        workload: WorkloadSpec::Streams(Vec::new()),
+        fast_workload: None,
+        fleet: FleetSpec::Paper,
+        engine: EngineConfig::default(),
+        tolerance: Tolerance::default(),
+        serve: None,
+        slo: None,
+    },
+    |s, v| {
+        v.required(
+            "name",
+            Str.check(|n| !n.is_empty(), "must not be empty"),
+            &mut s.name,
+        );
+        v.field("description", Str, &mut s.description);
+        v.required(
+            "seeds",
+            List(U64).check(|s| !s.is_empty(), "must list at least one seed"),
+            &mut s.seeds,
+        );
+        v.required(
+            "schedulers",
+            List(SCHEDULER).check(|s| !s.is_empty(), "must list at least one scheduler"),
+            &mut s.schedulers,
+        );
+        v.required("workload", WORKLOAD, &mut s.workload);
+        v.field("fast_workload", Opt(WORKLOAD), &mut s.fast_workload);
+        v.field("fleet", FLEET, &mut s.fleet);
+        v.field("engine", ENGINE, &mut s.engine);
+        v.field("tolerance", TOLERANCE, &mut s.tolerance);
+        v.field("serve", OmitIf(Opt(SERVE), Option::is_none), &mut s.serve);
+        v.field("slo", OmitIf(Opt(SLO), Option::is_none), &mut s.slo);
+    },
+)
+.validated(|s| {
+    // Open workloads and the serve section come as a pair: the horizon is
+    // what bounds an unbounded stream, and a drain workload has no
+    // steady-state window to measure.
+    let is_open = |w: &WorkloadSpec| matches!(w, WorkloadSpec::Open(_));
+    if s.serve.is_some() {
+        ensure(
+            is_open(&s.workload),
+            "workload",
+            "a scenario with a `serve` section must use an open workload",
+        )?;
+        ensure(
+            s.fast_workload.as_ref().is_none_or(is_open),
+            "fast_workload",
+            "the fast workload of a serve scenario must also be open",
+        )
+    } else {
+        ensure(
+            !is_open(&s.workload) && !s.fast_workload.as_ref().is_some_and(is_open),
+            "workload",
+            "an open workload requires a `serve` section",
+        )
+    }
+});
+
+/// Per-scenario regression tolerances; also the `tolerance` of a run record.
+pub(super) const TOLERANCE: Obj<Tolerance> = Obj::new(Tolerance::default, |t, v| {
+    v.field("energy_rel", POSITIVE, &mut t.energy_rel);
+    v.field("makespan_rel", POSITIVE, &mut t.makespan_rel);
+});
+
+/// Service-metric tolerances; also the `serve_tolerance` of a run record.
+pub(super) const SERVE_TOLERANCE: Obj<ServeTolerance> =
+    Obj::new(ServeTolerance::default, |t, v| {
+        v.field("p99_rel", POSITIVE, &mut t.p99_rel);
+        v.field("energy_per_job_rel", POSITIVE, &mut t.energy_per_job_rel);
+    });
+
 // Schedulers
 
-/// Encodes a scheduler for specs and run manifests.
-pub fn scheduler_to_json(kind: &SchedulerKind) -> JsonValue {
-    match kind {
-        SchedulerKind::Fifo => object([("kind", JsonValue::Str("fifo".into()))]),
-        SchedulerKind::Fair => object([("kind", JsonValue::Str("fair".into()))]),
-        SchedulerKind::Tarazu => object([("kind", JsonValue::Str("tarazu".into()))]),
-        SchedulerKind::EAnt(cfg) => object([
-            ("kind", JsonValue::Str("eant".into())),
-            ("rho", JsonValue::Num(cfg.rho)),
-            ("beta", JsonValue::Num(cfg.beta)),
-            ("tau_init", JsonValue::Num(cfg.tau_init)),
-            ("tau_min", JsonValue::Num(cfg.tau_min)),
-            ("tau_max", JsonValue::Num(cfg.tau_max)),
-            ("local_boost", JsonValue::Num(cfg.local_boost)),
-            ("share_cap", JsonValue::Num(cfg.share_cap)),
-            (
-                "exchange",
-                JsonValue::Str(
-                    match cfg.exchange {
-                        ExchangeStrategy::None => "none",
-                        ExchangeStrategy::MachineLevel => "machine",
-                        ExchangeStrategy::JobLevel => "job",
-                        ExchangeStrategy::Both => "both",
-                    }
-                    .into(),
-                ),
-            ),
-            ("negative_feedback", JsonValue::Bool(cfg.negative_feedback)),
-        ]),
+const SCHEDULERS: Tags<SchedulerKind> = Tags {
+    key: "kind",
+    what: "scheduler",
+    variants: &[
+        ("fifo", || SchedulerKind::Fifo),
+        ("fair", || SchedulerKind::Fair),
+        ("tarazu", || SchedulerKind::Tarazu),
+        ("eant", || SchedulerKind::EAnt(EAntConfig::paper_default())),
+    ],
+};
+
+const EXCHANGES: Names<ExchangeStrategy> = Names {
+    what: "exchange strategy",
+    table: &[
+        ("none", ExchangeStrategy::None),
+        ("machine", ExchangeStrategy::MachineLevel),
+        ("job", ExchangeStrategy::JobLevel),
+        ("both", ExchangeStrategy::Both),
+    ],
+};
+
+/// A scheduler, in specs and run manifests.
+const SCHEDULER: Obj<SchedulerKind> = Obj::tagged(&SCHEDULERS, |kind, v| {
+    if let SchedulerKind::EAnt(cfg) = kind {
+        eant_fields(cfg, v);
     }
+})
+.validated(|kind| match kind {
+    SchedulerKind::EAnt(c) => ensure(
+        0.0 < c.tau_min && c.tau_min <= c.tau_init && c.tau_init <= c.tau_max,
+        "tau_init",
+        "tau bounds must satisfy 0 < tau_min <= tau_init <= tau_max",
+    ),
+    _ => Ok(()),
+});
+
+fn eant_fields(c: &mut EAntConfig, v: &mut Visitor<'_>) {
+    v.field("rho", FRACTION, &mut c.rho);
+    v.field(
+        "beta",
+        F64.check(|b| *b >= 0.0, "must be >= 0"),
+        &mut c.beta,
+    );
+    v.field("tau_init", F64, &mut c.tau_init);
+    v.field("tau_min", F64, &mut c.tau_min);
+    v.field("tau_max", F64, &mut c.tau_max);
+    v.field("local_boost", AT_LEAST_ONE, &mut c.local_boost);
+    v.field("share_cap", AT_LEAST_ONE, &mut c.share_cap);
+    v.field("exchange", EXCHANGES, &mut c.exchange);
+    v.field("negative_feedback", Bool, &mut c.negative_feedback);
 }
 
-fn scheduler_from_json(value: &JsonValue, path: &str) -> Result<SchedulerKind, SpecError> {
-    let view = ObjectView::new(value, path)?;
-    match view.string("kind")? {
-        "fifo" => {
-            view.deny_unknown(&["kind"])?;
-            Ok(SchedulerKind::Fifo)
-        }
-        "fair" => {
-            view.deny_unknown(&["kind"])?;
-            Ok(SchedulerKind::Fair)
-        }
-        "tarazu" => {
-            view.deny_unknown(&["kind"])?;
-            Ok(SchedulerKind::Tarazu)
-        }
-        "eant" => {
-            view.deny_unknown(&[
-                "kind",
-                "rho",
-                "beta",
-                "tau_init",
-                "tau_min",
-                "tau_max",
-                "local_boost",
-                "share_cap",
-                "exchange",
-                "negative_feedback",
-            ])?;
-            let base = EAntConfig::paper_default();
-            let cfg = EAntConfig {
-                rho: view.opt_f64("rho")?.unwrap_or(base.rho),
-                beta: view.opt_f64("beta")?.unwrap_or(base.beta),
-                tau_init: view.opt_f64("tau_init")?.unwrap_or(base.tau_init),
-                tau_min: view.opt_f64("tau_min")?.unwrap_or(base.tau_min),
-                tau_max: view.opt_f64("tau_max")?.unwrap_or(base.tau_max),
-                local_boost: view.opt_f64("local_boost")?.unwrap_or(base.local_boost),
-                share_cap: view.opt_f64("share_cap")?.unwrap_or(base.share_cap),
-                exchange: match view.opt_string("exchange")? {
-                    None => base.exchange,
-                    Some("none") => ExchangeStrategy::None,
-                    Some("machine") => ExchangeStrategy::MachineLevel,
-                    Some("job") => ExchangeStrategy::JobLevel,
-                    Some("both") => ExchangeStrategy::Both,
-                    Some(other) => {
-                        return Err(SpecError::new(
-                            view.child_path("exchange"),
-                            format!("unknown exchange strategy {other:?} (none|machine|job|both)"),
-                        ))
-                    }
-                },
-                negative_feedback: view
-                    .opt_bool("negative_feedback")?
-                    .unwrap_or(base.negative_feedback),
-            };
-            ensure(
-                cfg.rho > 0.0 && cfg.rho <= 1.0,
-                &view.child_path("rho"),
-                "must be in (0, 1]",
-            )?;
-            ensure(cfg.beta >= 0.0, &view.child_path("beta"), "must be >= 0")?;
-            ensure(
-                0.0 < cfg.tau_min && cfg.tau_min <= cfg.tau_init && cfg.tau_init <= cfg.tau_max,
-                &view.child_path("tau_init"),
-                "tau bounds must satisfy 0 < tau_min <= tau_init <= tau_max",
-            )?;
-            ensure(
-                cfg.local_boost >= 1.0,
-                &view.child_path("local_boost"),
-                "must be >= 1",
-            )?;
-            ensure(
-                cfg.share_cap >= 1.0,
-                &view.child_path("share_cap"),
-                "must be >= 1",
-            )?;
-            Ok(SchedulerKind::EAnt(cfg))
-        }
-        other => Err(SpecError::new(
-            view.child_path("kind"),
-            format!("unknown scheduler {other:?} (fifo|fair|tarazu|eant)"),
-        )),
-    }
-}
+// Workloads
 
-// ---------------------------------------------------------------------------
-// Workload
-
-fn workload_to_json(workload: &WorkloadSpec) -> JsonValue {
-    match workload {
-        WorkloadSpec::Msd(cfg) => object([
-            ("kind", JsonValue::Str("msd".into())),
-            ("num_jobs", JsonValue::UInt(cfg.num_jobs as u64)),
-            ("task_scale", JsonValue::UInt(u64::from(cfg.task_scale))),
-            (
-                "submission_window_s",
-                duration_to_json(cfg.submission_window),
-            ),
-        ]),
-        WorkloadSpec::Streams(streams) => object([
-            ("kind", JsonValue::Str("streams".into())),
-            (
-                "streams",
-                JsonValue::Array(streams.iter().map(stream_to_json).collect()),
-            ),
-        ]),
-        WorkloadSpec::Open(spec) => object([
-            ("kind", JsonValue::Str("open".into())),
-            ("label", JsonValue::Str(spec.label.clone())),
-            ("arrival", open_arrival_to_json(&spec.arrival)),
-            (
-                "templates",
-                JsonValue::Array(spec.templates.iter().map(template_to_json).collect()),
-            ),
-        ]),
-    }
-}
-
-fn open_arrival_to_json(arrival: &OpenArrival) -> JsonValue {
-    match arrival {
-        OpenArrival::Poisson { rate_per_min } => object([
-            ("kind", JsonValue::Str("poisson".into())),
-            ("rate_per_min", JsonValue::Num(*rate_per_min)),
-        ]),
-        OpenArrival::Diurnal { profile, period_s } => object([
-            ("kind", JsonValue::Str("diurnal".into())),
-            ("base_per_min", JsonValue::Num(profile.base_per_min)),
-            (
-                "peaks",
-                JsonValue::Array(
-                    profile
-                        .peaks
-                        .iter()
-                        .map(|p| {
-                            object([
-                                ("center_s", JsonValue::Num(p.center_s)),
-                                ("width_s", JsonValue::Num(p.width_s)),
-                                ("extra_per_min", JsonValue::Num(p.extra_per_min)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            ("period_s", JsonValue::Num(*period_s)),
-        ]),
-        OpenArrival::Bursty {
-            bursts_per_min,
-            burst_min,
-            burst_max,
-        } => object([
-            ("kind", JsonValue::Str("bursty".into())),
-            ("bursts_per_min", JsonValue::Num(*bursts_per_min)),
-            ("burst_min", JsonValue::UInt(u64::from(*burst_min))),
-            ("burst_max", JsonValue::UInt(u64::from(*burst_max))),
-        ]),
-    }
-}
-
-fn template_to_json(t: &OpenJobTemplate) -> JsonValue {
-    object([
-        (
-            "benchmark",
-            JsonValue::Str(
-                match t.benchmark {
-                    BenchmarkKind::Wordcount => "wordcount",
-                    BenchmarkKind::Grep => "grep",
-                    BenchmarkKind::Terasort => "terasort",
-                }
-                .into(),
-            ),
-        ),
-        (
-            "size_class",
-            match t.size_class {
-                None => JsonValue::Null,
-                Some(SizeClass::Small) => JsonValue::Str("small".into()),
-                Some(SizeClass::Medium) => JsonValue::Str("medium".into()),
-                Some(SizeClass::Large) => JsonValue::Str("large".into()),
-            },
-        ),
-        ("maps", JsonValue::UInt(u64::from(t.maps))),
-        ("reduces", JsonValue::UInt(u64::from(t.reduces))),
-        ("weight", JsonValue::Num(t.weight)),
-    ])
-}
-
-fn serve_to_json(serve: &ServeSpec) -> JsonValue {
-    object([
-        ("warmup_s", duration_to_json(serve.warmup)),
-        ("measure_s", duration_to_json(serve.measure)),
-        (
-            "fast_warmup_s",
-            serve.fast_warmup.map_or(JsonValue::Null, duration_to_json),
-        ),
-        (
-            "fast_measure_s",
-            serve.fast_measure.map_or(JsonValue::Null, duration_to_json),
-        ),
-        (
-            "tolerance",
-            object([
-                ("p99_rel", JsonValue::Num(serve.tolerance.p99_rel)),
-                (
-                    "energy_per_job_rel",
-                    JsonValue::Num(serve.tolerance.energy_per_job_rel),
-                ),
-            ]),
-        ),
-    ])
-}
-
-fn slo_to_json(slo: &SloConfig) -> JsonValue {
-    let opt_duration_s = |d: Option<SimDuration>| d.map_or(JsonValue::Null, duration_to_json);
-    object([
-        ("window_s", duration_to_json(slo.window)),
-        ("ring_capacity", JsonValue::UInt(slo.ring_capacity as u64)),
-        (
-            "arm_after_s",
-            duration_to_json(slo.arm_after - SimTime::ZERO),
-        ),
-        (
-            "min_completions",
-            JsonValue::UInt(slo.min_completions as u64),
-        ),
-        ("p95_sojourn_s", opt_duration_s(slo.p95_sojourn)),
-        ("p99_sojourn_s", opt_duration_s(slo.p99_sojourn)),
-        (
-            "max_queue_depth",
-            slo.max_queue_depth.map_or(JsonValue::Null, JsonValue::UInt),
-        ),
-        (
-            "max_backlog_growth_per_min",
-            slo.max_backlog_growth_per_min
-                .map_or(JsonValue::Null, JsonValue::Num),
-        ),
-    ])
-}
-
-fn stream_to_json(stream: &StreamSpec) -> JsonValue {
-    object([
-        ("label", JsonValue::Str(stream.label.clone())),
-        (
-            "benchmark",
-            JsonValue::Str(
-                match stream.benchmark {
-                    BenchmarkChoice::Fixed(BenchmarkKind::Wordcount) => "wordcount",
-                    BenchmarkChoice::Fixed(BenchmarkKind::Grep) => "grep",
-                    BenchmarkChoice::Fixed(BenchmarkKind::Terasort) => "terasort",
-                    BenchmarkChoice::Rotate => "rotate",
-                }
-                .into(),
-            ),
-        ),
-        (
-            "size_class",
-            match stream.size_class {
-                None => JsonValue::Null,
-                Some(SizeClass::Small) => JsonValue::Str("small".into()),
-                Some(SizeClass::Medium) => JsonValue::Str("medium".into()),
-                Some(SizeClass::Large) => JsonValue::Str("large".into()),
-            },
-        ),
-        ("maps", JsonValue::UInt(u64::from(stream.maps))),
-        ("reduces", JsonValue::UInt(u64::from(stream.reduces))),
-        ("count", JsonValue::UInt(stream.count as u64)),
-        ("arrival", arrival_to_json(&stream.arrival)),
-    ])
-}
-
-fn arrival_to_json(arrival: &StreamArrival) -> JsonValue {
-    match arrival {
-        StreamArrival::Poisson {
-            rate_per_min,
-            start_s,
-        } => object([
-            ("kind", JsonValue::Str("poisson".into())),
-            ("rate_per_min", JsonValue::Num(*rate_per_min)),
-            ("start_s", JsonValue::Num(*start_s)),
-        ]),
-        StreamArrival::Uniform { period_s, start_s } => object([
-            ("kind", JsonValue::Str("uniform".into())),
-            ("period_s", JsonValue::Num(*period_s)),
-            ("start_s", JsonValue::Num(*start_s)),
-        ]),
-        StreamArrival::Batches { at_s } => object([
-            ("kind", JsonValue::Str("batches".into())),
-            (
-                "at_s",
-                JsonValue::Array(at_s.iter().map(|&t| JsonValue::Num(t)).collect()),
-            ),
-        ]),
-        StreamArrival::Diurnal { profile, window_s } => object([
-            ("kind", JsonValue::Str("diurnal".into())),
-            ("base_per_min", JsonValue::Num(profile.base_per_min)),
-            (
-                "peaks",
-                JsonValue::Array(
-                    profile
-                        .peaks
-                        .iter()
-                        .map(|p| {
-                            object([
-                                ("center_s", JsonValue::Num(p.center_s)),
-                                ("width_s", JsonValue::Num(p.width_s)),
-                                ("extra_per_min", JsonValue::Num(p.extra_per_min)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            ("window_s", JsonValue::Num(*window_s)),
-        ]),
-    }
-}
-
-fn workload_from_json(view: &ObjectView<'_>) -> Result<WorkloadSpec, SpecError> {
-    match view.string("kind")? {
-        "msd" => {
-            view.deny_unknown(&["kind", "num_jobs", "task_scale", "submission_window_s"])?;
-            let num_jobs = view.u64("num_jobs")?;
-            ensure(
-                num_jobs > 0,
-                &view.child_path("num_jobs"),
-                "must be positive",
-            )?;
-            let task_scale = view.u64("task_scale")?;
-            ensure(
-                task_scale > 0 && task_scale <= u64::from(u32::MAX),
-                &view.child_path("task_scale"),
-                "must be a positive 32-bit integer",
-            )?;
-            let window = opt_duration(view, "submission_window_s", true)?.ok_or_else(|| {
-                SpecError::new(
-                    view.child_path("submission_window_s"),
-                    "missing required key",
-                )
-            })?;
-            Ok(WorkloadSpec::Msd(MsdConfig {
-                num_jobs: num_jobs as usize,
-                task_scale: task_scale as u32,
-                submission_window: window,
-            }))
-        }
-        "streams" => {
-            view.deny_unknown(&["kind", "streams"])?;
-            let streams_path = view.child_path("streams");
-            let items = view.array("streams")?;
-            ensure(
-                !items.is_empty(),
-                &streams_path,
-                "must list at least one stream",
-            )?;
-            let mut streams = Vec::new();
-            for (i, item) in items.iter().enumerate() {
-                let sv = ObjectView::new(item, format!("{streams_path}[{i}]"))?;
-                streams.push(stream_from_json(&sv)?);
-            }
-            Ok(WorkloadSpec::Streams(streams))
-        }
-        "open" => {
-            view.deny_unknown(&["kind", "label", "arrival", "templates"])?;
-            let label = view.string("label")?.to_owned();
-            let arrival = open_arrival_from_json(&view.obj("arrival")?)?;
-            let templates_path = view.child_path("templates");
-            let items = view.array("templates")?;
-            ensure(
-                !items.is_empty(),
-                &templates_path,
-                "must list at least one template",
-            )?;
-            let mut templates = Vec::new();
-            for (i, item) in items.iter().enumerate() {
-                let tv = ObjectView::new(item, format!("{templates_path}[{i}]"))?;
-                templates.push(template_from_json(&tv)?);
-            }
-            Ok(WorkloadSpec::Open(OpenStreamSpec {
-                label,
-                arrival,
-                templates,
-            }))
-        }
-        other => Err(SpecError::new(
-            view.child_path("kind"),
-            format!("unknown workload kind {other:?} (msd|streams|open)"),
-        )),
-    }
-}
-
-fn open_arrival_from_json(view: &ObjectView<'_>) -> Result<OpenArrival, SpecError> {
-    match view.string("kind")? {
-        "poisson" => {
-            view.deny_unknown(&["kind", "rate_per_min"])?;
-            let rate = view.f64("rate_per_min")?;
-            ensure(
-                rate.is_finite() && rate > 0.0,
-                &view.child_path("rate_per_min"),
-                "must be positive",
-            )?;
-            Ok(OpenArrival::Poisson { rate_per_min: rate })
-        }
-        "diurnal" => {
-            view.deny_unknown(&["kind", "base_per_min", "peaks", "period_s"])?;
-            let base = view.opt_f64("base_per_min")?.unwrap_or(0.0);
-            ensure(
-                base.is_finite() && base >= 0.0,
-                &view.child_path("base_per_min"),
-                "must be non-negative",
-            )?;
-            let peaks_path = view.child_path("peaks");
-            let mut peaks = Vec::new();
-            for (i, item) in view.array("peaks")?.iter().enumerate() {
-                let pv = ObjectView::new(item, format!("{peaks_path}[{i}]"))?;
-                pv.deny_unknown(&["center_s", "width_s", "extra_per_min"])?;
-                let center = pv.f64("center_s")?;
-                ensure(
-                    center.is_finite(),
-                    &pv.child_path("center_s"),
-                    "must be finite",
-                )?;
-                let width = pv.f64("width_s")?;
-                ensure(
-                    width.is_finite() && width > 0.0,
-                    &pv.child_path("width_s"),
-                    "must be positive",
-                )?;
-                let extra = pv.f64("extra_per_min")?;
-                ensure(
-                    extra.is_finite() && extra >= 0.0,
-                    &pv.child_path("extra_per_min"),
-                    "must be non-negative",
-                )?;
-                peaks.push(DiurnalPeak {
-                    center_s: center,
-                    width_s: width,
-                    extra_per_min: extra,
-                });
-            }
-            let period = view.f64("period_s")?;
-            ensure(
-                period.is_finite() && period > 0.0,
-                &view.child_path("period_s"),
-                "must be positive",
-            )?;
-            let profile = DiurnalProfile {
-                base_per_min: base,
-                peaks,
-            };
-            ensure(
-                profile.max_per_min() > 0.0,
-                view.path(),
-                "diurnal profile must have positive intensity (base or at least one peak)",
-            )?;
-            Ok(OpenArrival::Diurnal {
-                profile,
-                period_s: period,
+const WORKLOADS: Tags<WorkloadSpec> = Tags {
+    key: "kind",
+    what: "workload kind",
+    variants: &[
+        ("msd", || WorkloadSpec::Msd(MsdConfig::paper_default())),
+        ("streams", || WorkloadSpec::Streams(Vec::new())),
+        ("open", || {
+            WorkloadSpec::Open(OpenStreamSpec {
+                label: String::new(),
+                arrival: OpenArrival::Poisson { rate_per_min: 0.0 },
+                templates: Vec::new(),
             })
-        }
-        "bursty" => {
-            view.deny_unknown(&["kind", "bursts_per_min", "burst_min", "burst_max"])?;
-            let rate = view.f64("bursts_per_min")?;
-            ensure(
-                rate.is_finite() && rate > 0.0,
-                &view.child_path("bursts_per_min"),
-                "must be positive",
-            )?;
-            let burst_min = view.opt_u64("burst_min")?.unwrap_or(1);
-            let burst_max = view.u64("burst_max")?;
-            ensure(
-                burst_min >= 1 && burst_min <= burst_max && burst_max <= u64::from(u32::MAX),
-                &view.child_path("burst_min"),
-                "burst size range must satisfy 1 <= min <= max",
-            )?;
-            Ok(OpenArrival::Bursty {
-                bursts_per_min: rate,
-                burst_min: burst_min as u32,
-                burst_max: burst_max as u32,
-            })
-        }
-        other => Err(SpecError::new(
-            view.child_path("kind"),
-            format!("unknown open arrival kind {other:?} (poisson|diurnal|bursty)"),
-        )),
+        }),
+    ],
+};
+
+const WORKLOAD: Obj<WorkloadSpec> = Obj::tagged(&WORKLOADS, |w, v| match w {
+    WorkloadSpec::Msd(cfg) => {
+        v.required("num_jobs", COUNT, &mut cfg.num_jobs);
+        v.required("task_scale", POSITIVE_U32, &mut cfg.task_scale);
+        v.required(
+            "submission_window_s",
+            POSITIVE_SECS,
+            &mut cfg.submission_window,
+        );
     }
+    WorkloadSpec::Streams(streams) => v.required(
+        "streams",
+        List(STREAM).check(|s| !s.is_empty(), "must list at least one stream"),
+        streams,
+    ),
+    WorkloadSpec::Open(spec) => {
+        v.required("label", Str, &mut spec.label);
+        v.required("arrival", OPEN_ARRIVAL, &mut spec.arrival);
+        v.required(
+            "templates",
+            List(TEMPLATE).check(|t| !t.is_empty(), "must list at least one template"),
+            &mut spec.templates,
+        );
+    }
+});
+
+const BENCHMARKS: Names<BenchmarkKind> = Names {
+    what: "benchmark",
+    table: &[
+        ("wordcount", BenchmarkKind::Wordcount),
+        ("grep", BenchmarkKind::Grep),
+        ("terasort", BenchmarkKind::Terasort),
+    ],
+};
+
+const BENCHMARK_CHOICES: Names<BenchmarkChoice> = Names {
+    what: "benchmark",
+    table: &[
+        (
+            "wordcount",
+            BenchmarkChoice::Fixed(BenchmarkKind::Wordcount),
+        ),
+        ("grep", BenchmarkChoice::Fixed(BenchmarkKind::Grep)),
+        ("terasort", BenchmarkChoice::Fixed(BenchmarkKind::Terasort)),
+        ("rotate", BenchmarkChoice::Rotate),
+    ],
+};
+
+const STREAM: Obj<StreamSpec> = Obj::new(
+    || StreamSpec {
+        label: String::new(),
+        benchmark: BenchmarkChoice::Rotate,
+        size_class: None,
+        maps: 0,
+        reduces: 0,
+        count: 0,
+        arrival: StreamArrival::Batches { at_s: Vec::new() },
+    },
+    |s, v| {
+        v.required("label", Str, &mut s.label);
+        v.field("benchmark", BENCHMARK_CHOICES, &mut s.benchmark);
+        v.field("size_class", Opt(SIZE_CLASSES), &mut s.size_class);
+        v.required("maps", POSITIVE_U32, &mut s.maps);
+        v.field("reduces", U32, &mut s.reduces);
+        v.required("count", COUNT, &mut s.count);
+        v.required("arrival", ARRIVAL, &mut s.arrival);
+    },
+);
+
+const TEMPLATE: Obj<OpenJobTemplate> = Obj::new(
+    || OpenJobTemplate {
+        benchmark: BenchmarkKind::Wordcount,
+        size_class: None,
+        maps: 0,
+        reduces: 0,
+        weight: 1.0,
+    },
+    |t, v| {
+        v.required("benchmark", BENCHMARKS, &mut t.benchmark);
+        v.field("size_class", Opt(SIZE_CLASSES), &mut t.size_class);
+        v.required("maps", POSITIVE_U32, &mut t.maps);
+        v.field("reduces", U32, &mut t.reduces);
+        v.field("weight", POSITIVE, &mut t.weight);
+    },
+);
+
+const ARRIVALS: Tags<StreamArrival> = Tags {
+    key: "kind",
+    what: "arrival kind",
+    variants: &[
+        ("poisson", || StreamArrival::Poisson {
+            rate_per_min: 0.0,
+            start_s: 0.0,
+        }),
+        ("uniform", || StreamArrival::Uniform {
+            period_s: 0.0,
+            start_s: 0.0,
+        }),
+        ("batches", || StreamArrival::Batches { at_s: Vec::new() }),
+        ("diurnal", || StreamArrival::Diurnal {
+            profile: NO_PROFILE,
+            window_s: 0.0,
+        }),
+    ],
+};
+
+const ARRIVAL: Obj<StreamArrival> = Obj::tagged(&ARRIVALS, |a, v| match a {
+    StreamArrival::Poisson {
+        rate_per_min,
+        start_s,
+    } => {
+        v.required("rate_per_min", POSITIVE, rate_per_min);
+        v.field("start_s", NON_NEGATIVE, start_s);
+    }
+    StreamArrival::Uniform { period_s, start_s } => {
+        v.required("period_s", POSITIVE, period_s);
+        v.field("start_s", NON_NEGATIVE, start_s);
+    }
+    StreamArrival::Batches { at_s } => v.required(
+        "at_s",
+        List(NON_NEGATIVE).check(|t| !t.is_empty(), "must list at least one batch time"),
+        at_s,
+    ),
+    StreamArrival::Diurnal { profile, window_s } => {
+        diurnal_fields(profile, v);
+        v.required("window_s", POSITIVE, window_s);
+    }
+})
+.validated(|a| match a {
+    StreamArrival::Diurnal { profile, .. } => check_diurnal(profile),
+    _ => Ok(()),
+});
+
+const OPEN_ARRIVALS: Tags<OpenArrival> = Tags {
+    key: "kind",
+    what: "open arrival kind",
+    variants: &[
+        ("poisson", || OpenArrival::Poisson { rate_per_min: 0.0 }),
+        ("diurnal", || OpenArrival::Diurnal {
+            profile: NO_PROFILE,
+            period_s: 0.0,
+        }),
+        ("bursty", || OpenArrival::Bursty {
+            bursts_per_min: 0.0,
+            burst_min: 1,
+            burst_max: 0,
+        }),
+    ],
+};
+
+const OPEN_ARRIVAL: Obj<OpenArrival> = Obj::tagged(&OPEN_ARRIVALS, |a, v| match a {
+    OpenArrival::Poisson { rate_per_min } => {
+        v.required("rate_per_min", POSITIVE, rate_per_min);
+    }
+    OpenArrival::Diurnal { profile, period_s } => {
+        diurnal_fields(profile, v);
+        v.required("period_s", POSITIVE, period_s);
+    }
+    OpenArrival::Bursty {
+        bursts_per_min,
+        burst_min,
+        burst_max,
+    } => {
+        v.required("bursts_per_min", POSITIVE, bursts_per_min);
+        v.field("burst_min", U32, burst_min);
+        v.required("burst_max", U32, burst_max);
+    }
+})
+.validated(|a| match a {
+    OpenArrival::Diurnal { profile, .. } => check_diurnal(profile),
+    OpenArrival::Bursty {
+        burst_min,
+        burst_max,
+        ..
+    } => ensure(
+        1 <= *burst_min && burst_min <= burst_max,
+        "burst_min",
+        "burst size range must satisfy 1 <= min <= max",
+    ),
+    OpenArrival::Poisson { .. } => Ok(()),
+});
+
+const NO_PROFILE: DiurnalProfile = DiurnalProfile {
+    base_per_min: 0.0,
+    peaks: Vec::new(),
+};
+
+const PEAK: Obj<DiurnalPeak> = Obj::new(
+    || DiurnalPeak {
+        center_s: 0.0,
+        width_s: 0.0,
+        extra_per_min: 0.0,
+    },
+    |p, v| {
+        v.required(
+            "center_s",
+            F64.check(|x| x.is_finite(), "must be finite"),
+            &mut p.center_s,
+        );
+        v.required("width_s", POSITIVE, &mut p.width_s);
+        v.required("extra_per_min", NON_NEGATIVE, &mut p.extra_per_min);
+    },
+);
+
+/// The diurnal profile's fields, shared by stream and open arrivals.
+fn diurnal_fields(profile: &mut DiurnalProfile, v: &mut Visitor<'_>) {
+    v.field("base_per_min", NON_NEGATIVE, &mut profile.base_per_min);
+    v.required("peaks", List(PEAK), &mut profile.peaks);
 }
 
-fn template_from_json(view: &ObjectView<'_>) -> Result<OpenJobTemplate, SpecError> {
-    view.deny_unknown(&["benchmark", "size_class", "maps", "reduces", "weight"])?;
-    let benchmark = match view.string("benchmark")? {
-        "wordcount" => BenchmarkKind::Wordcount,
-        "grep" => BenchmarkKind::Grep,
-        "terasort" => BenchmarkKind::Terasort,
-        other => {
-            return Err(SpecError::new(
-                view.child_path("benchmark"),
-                format!("unknown benchmark {other:?} (wordcount|grep|terasort)"),
-            ))
-        }
-    };
-    let size_class = match view.opt_string("size_class")? {
-        None => None,
-        Some("small") => Some(SizeClass::Small),
-        Some("medium") => Some(SizeClass::Medium),
-        Some("large") => Some(SizeClass::Large),
-        Some(other) => {
-            return Err(SpecError::new(
-                view.child_path("size_class"),
-                format!("unknown size class {other:?} (small|medium|large)"),
-            ))
-        }
-    };
-    let maps = view.u64("maps")?;
+fn check_diurnal(profile: &DiurnalProfile) -> Result<(), SpecError> {
     ensure(
-        maps > 0 && maps <= u64::from(u32::MAX),
-        &view.child_path("maps"),
-        "must be a positive 32-bit integer",
-    )?;
-    let reduces = view.opt_u64("reduces")?.unwrap_or(0);
-    ensure(
-        reduces <= u64::from(u32::MAX),
-        &view.child_path("reduces"),
-        "must fit in 32 bits",
-    )?;
-    let weight = view.opt_f64("weight")?.unwrap_or(1.0);
-    ensure(
-        weight.is_finite() && weight > 0.0,
-        &view.child_path("weight"),
-        "must be positive",
-    )?;
-    Ok(OpenJobTemplate {
-        benchmark,
-        size_class,
-        maps: maps as u32,
-        reduces: reduces as u32,
-        weight,
-    })
+        profile.max_per_min() > 0.0,
+        "",
+        "diurnal profile must have positive intensity (base or at least one peak)",
+    )
 }
 
-fn serve_from_json(view: &ObjectView<'_>) -> Result<ServeSpec, SpecError> {
-    view.deny_unknown(&[
-        "warmup_s",
-        "measure_s",
-        "fast_warmup_s",
-        "fast_measure_s",
-        "tolerance",
-    ])?;
-    let warmup = opt_duration(view, "warmup_s", false)?
-        .ok_or_else(|| SpecError::new(view.child_path("warmup_s"), "missing required key"))?;
-    let measure = opt_duration(view, "measure_s", true)?
-        .ok_or_else(|| SpecError::new(view.child_path("measure_s"), "missing required key"))?;
-    let fast_warmup = opt_duration(view, "fast_warmup_s", false)?;
-    let fast_measure = opt_duration(view, "fast_measure_s", true)?;
-    let tolerance = match view.opt_obj("tolerance")? {
-        None => ServeTolerance::default(),
-        Some(tv) => {
-            tv.deny_unknown(&["p99_rel", "energy_per_job_rel"])?;
-            let base = ServeTolerance::default();
-            let p99_rel = tv.opt_f64("p99_rel")?.unwrap_or(base.p99_rel);
-            ensure(
-                p99_rel.is_finite() && p99_rel > 0.0,
-                &tv.child_path("p99_rel"),
-                "must be positive",
-            )?;
-            let energy_per_job_rel = tv
-                .opt_f64("energy_per_job_rel")?
-                .unwrap_or(base.energy_per_job_rel);
-            ensure(
-                energy_per_job_rel.is_finite() && energy_per_job_rel > 0.0,
-                &tv.child_path("energy_per_job_rel"),
-                "must be positive",
-            )?;
-            ServeTolerance {
-                p99_rel,
-                energy_per_job_rel,
-            }
-        }
-    };
-    Ok(ServeSpec {
-        warmup,
-        measure,
-        fast_warmup,
-        fast_measure,
-        tolerance,
-    })
-}
+const SERVE: Obj<ServeSpec> = Obj::new(ServeSpec::default, |s, v| {
+    v.required("warmup_s", Secs, &mut s.warmup);
+    v.required("measure_s", POSITIVE_SECS, &mut s.measure);
+    v.field("fast_warmup_s", Opt(Secs), &mut s.fast_warmup);
+    v.field("fast_measure_s", Opt(POSITIVE_SECS), &mut s.fast_measure);
+    v.field("tolerance", SERVE_TOLERANCE, &mut s.tolerance);
+});
 
-fn slo_from_json(view: &ObjectView<'_>) -> Result<SloConfig, SpecError> {
-    view.deny_unknown(&[
-        "window_s",
-        "ring_capacity",
+const SLO: Obj<SloConfig> = Obj::new(SloConfig::default, |c, v| {
+    v.field("window_s", POSITIVE_SECS, &mut c.window);
+    v.field("ring_capacity", COUNT, &mut c.ring_capacity);
+    v.field(
         "arm_after_s",
-        "min_completions",
-        "p95_sojourn_s",
-        "p99_sojourn_s",
-        "max_queue_depth",
+        Map::new(Secs, |d| SimTime::ZERO + d, |t| *t - SimTime::ZERO),
+        &mut c.arm_after,
+    );
+    v.field("min_completions", USIZE, &mut c.min_completions);
+    v.field("p95_sojourn_s", Opt(POSITIVE_SECS), &mut c.p95_sojourn);
+    v.field("p99_sojourn_s", Opt(POSITIVE_SECS), &mut c.p99_sojourn);
+    v.field("max_queue_depth", Opt(U64), &mut c.max_queue_depth);
+    v.field(
         "max_backlog_growth_per_min",
-    ])?;
-    let base = SloConfig::default();
-    let window = opt_duration(view, "window_s", true)?.unwrap_or(base.window);
-    let ring_capacity = match view.opt_u64("ring_capacity")? {
-        None => base.ring_capacity,
-        Some(n) => {
-            ensure(n > 0, &view.child_path("ring_capacity"), "must be positive")?;
-            n as usize
-        }
-    };
-    let arm_after =
-        opt_duration(view, "arm_after_s", false)?.map_or(base.arm_after, |d| SimTime::ZERO + d);
-    let min_completions = view
-        .opt_u64("min_completions")?
-        .map_or(base.min_completions, |n| n as usize);
-    let p95_sojourn = opt_duration(view, "p95_sojourn_s", true)?;
-    let p99_sojourn = opt_duration(view, "p99_sojourn_s", true)?;
-    let max_queue_depth = view.opt_u64("max_queue_depth")?;
-    let max_backlog_growth_per_min = match view.opt_f64("max_backlog_growth_per_min")? {
-        None => None,
-        Some(g) => {
-            ensure(
-                g.is_finite() && g > 0.0,
-                &view.child_path("max_backlog_growth_per_min"),
-                "must be positive",
-            )?;
-            Some(g)
-        }
-    };
-    let cfg = SloConfig {
-        window,
-        ring_capacity,
-        arm_after,
-        min_completions,
-        p95_sojourn,
-        p99_sojourn,
-        max_queue_depth,
-        max_backlog_growth_per_min,
-    };
+        Opt(POSITIVE),
+        &mut c.max_backlog_growth_per_min,
+    );
+})
+.validated(|c| {
     ensure(
-        cfg.has_thresholds(),
-        view.path(),
+        c.has_thresholds(),
+        "",
         "must set at least one threshold (p95_sojourn_s, p99_sojourn_s, \
          max_queue_depth or max_backlog_growth_per_min)",
-    )?;
-    Ok(cfg)
-}
+    )
+});
 
-fn stream_from_json(view: &ObjectView<'_>) -> Result<StreamSpec, SpecError> {
-    view.deny_unknown(&[
-        "label",
-        "benchmark",
-        "size_class",
-        "maps",
-        "reduces",
-        "count",
-        "arrival",
-    ])?;
-    let label = view.string("label")?.to_owned();
-    let benchmark = match view.opt_string("benchmark")?.unwrap_or("rotate") {
-        "wordcount" => BenchmarkChoice::Fixed(BenchmarkKind::Wordcount),
-        "grep" => BenchmarkChoice::Fixed(BenchmarkKind::Grep),
-        "terasort" => BenchmarkChoice::Fixed(BenchmarkKind::Terasort),
-        "rotate" => BenchmarkChoice::Rotate,
-        other => {
-            return Err(SpecError::new(
-                view.child_path("benchmark"),
-                format!("unknown benchmark {other:?} (wordcount|grep|terasort|rotate)"),
-            ))
-        }
-    };
-    let size_class = match view.opt_string("size_class")? {
-        None => None,
-        Some("small") => Some(SizeClass::Small),
-        Some("medium") => Some(SizeClass::Medium),
-        Some("large") => Some(SizeClass::Large),
-        Some(other) => {
-            return Err(SpecError::new(
-                view.child_path("size_class"),
-                format!("unknown size class {other:?} (small|medium|large)"),
-            ))
-        }
-    };
-    let maps = view.u64("maps")?;
-    ensure(
-        maps > 0 && maps <= u64::from(u32::MAX),
-        &view.child_path("maps"),
-        "must be a positive 32-bit integer",
-    )?;
-    let reduces = view.opt_u64("reduces")?.unwrap_or(0);
-    ensure(
-        reduces <= u64::from(u32::MAX),
-        &view.child_path("reduces"),
-        "must fit in 32 bits",
-    )?;
-    let count = view.u64("count")?;
-    ensure(count > 0, &view.child_path("count"), "must be positive")?;
-    let arrival = arrival_from_json(&view.obj("arrival")?)?;
-    Ok(StreamSpec {
-        label,
-        benchmark,
-        size_class,
-        maps: maps as u32,
-        reduces: reduces as u32,
-        count: count as usize,
-        arrival,
-    })
-}
-
-fn arrival_from_json(view: &ObjectView<'_>) -> Result<StreamArrival, SpecError> {
-    match view.string("kind")? {
-        "poisson" => {
-            view.deny_unknown(&["kind", "rate_per_min", "start_s"])?;
-            let rate = view.f64("rate_per_min")?;
-            ensure(
-                rate.is_finite() && rate > 0.0,
-                &view.child_path("rate_per_min"),
-                "must be positive",
-            )?;
-            let start = view.opt_f64("start_s")?.unwrap_or(0.0);
-            ensure(
-                start.is_finite() && start >= 0.0,
-                &view.child_path("start_s"),
-                "must be non-negative",
-            )?;
-            Ok(StreamArrival::Poisson {
-                rate_per_min: rate,
-                start_s: start,
-            })
-        }
-        "uniform" => {
-            view.deny_unknown(&["kind", "period_s", "start_s"])?;
-            let period = view.f64("period_s")?;
-            ensure(
-                period.is_finite() && period > 0.0,
-                &view.child_path("period_s"),
-                "must be positive",
-            )?;
-            let start = view.opt_f64("start_s")?.unwrap_or(0.0);
-            ensure(
-                start.is_finite() && start >= 0.0,
-                &view.child_path("start_s"),
-                "must be non-negative",
-            )?;
-            Ok(StreamArrival::Uniform {
-                period_s: period,
-                start_s: start,
-            })
-        }
-        "batches" => {
-            view.deny_unknown(&["kind", "at_s"])?;
-            let at_path = view.child_path("at_s");
-            let items = view.array("at_s")?;
-            ensure(
-                !items.is_empty(),
-                &at_path,
-                "must list at least one batch time",
-            )?;
-            let mut at_s = Vec::new();
-            for (i, item) in items.iter().enumerate() {
-                let t = item.as_f64().ok_or_else(|| {
-                    SpecError::new(
-                        format!("{at_path}[{i}]"),
-                        format!("expected a number, found {}", kind_name(item)),
-                    )
-                })?;
-                ensure(
-                    t.is_finite() && t >= 0.0,
-                    &format!("{at_path}[{i}]"),
-                    "must be non-negative",
-                )?;
-                at_s.push(t);
-            }
-            Ok(StreamArrival::Batches { at_s })
-        }
-        "diurnal" => {
-            view.deny_unknown(&["kind", "base_per_min", "peaks", "window_s"])?;
-            let base = view.opt_f64("base_per_min")?.unwrap_or(0.0);
-            ensure(
-                base.is_finite() && base >= 0.0,
-                &view.child_path("base_per_min"),
-                "must be non-negative",
-            )?;
-            let peaks_path = view.child_path("peaks");
-            let mut peaks = Vec::new();
-            for (i, item) in view.array("peaks")?.iter().enumerate() {
-                let pv = ObjectView::new(item, format!("{peaks_path}[{i}]"))?;
-                pv.deny_unknown(&["center_s", "width_s", "extra_per_min"])?;
-                let center = pv.f64("center_s")?;
-                ensure(
-                    center.is_finite(),
-                    &pv.child_path("center_s"),
-                    "must be finite",
-                )?;
-                let width = pv.f64("width_s")?;
-                ensure(
-                    width.is_finite() && width > 0.0,
-                    &pv.child_path("width_s"),
-                    "must be positive",
-                )?;
-                let extra = pv.f64("extra_per_min")?;
-                ensure(
-                    extra.is_finite() && extra >= 0.0,
-                    &pv.child_path("extra_per_min"),
-                    "must be non-negative",
-                )?;
-                peaks.push(DiurnalPeak {
-                    center_s: center,
-                    width_s: width,
-                    extra_per_min: extra,
-                });
-            }
-            let window = view.f64("window_s")?;
-            ensure(
-                window.is_finite() && window > 0.0,
-                &view.child_path("window_s"),
-                "must be positive",
-            )?;
-            let profile = DiurnalProfile {
-                base_per_min: base,
-                peaks,
-            };
-            ensure(
-                profile.max_per_min() > 0.0,
-                view.path(),
-                "diurnal profile must have positive intensity (base or at least one peak)",
-            )?;
-            Ok(StreamArrival::Diurnal {
-                profile,
-                window_s: window,
-            })
-        }
-        other => Err(SpecError::new(
-            view.child_path("kind"),
-            format!("unknown arrival kind {other:?} (poisson|uniform|batches|diurnal)"),
-        )),
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Fleet
 
-fn fleet_to_json(fleet: &FleetSpec) -> JsonValue {
-    match fleet {
-        FleetSpec::Paper => object([("preset", JsonValue::Str("paper".into()))]),
-        FleetSpec::Custom { groups, rack_size } => object([
-            (
-                "groups",
-                JsonValue::Array(
-                    groups
-                        .iter()
-                        .map(|g| {
-                            object([
-                                ("profile", JsonValue::Str(g.profile.clone())),
-                                ("count", JsonValue::UInt(g.count as u64)),
-                                (
-                                    "slots",
-                                    match g.slots {
-                                        None => JsonValue::Null,
-                                        Some((m, r)) => JsonValue::Array(vec![
-                                            JsonValue::UInt(m as u64),
-                                            JsonValue::UInt(r as u64),
-                                        ]),
-                                    },
-                                ),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "rack_size",
-                rack_size.map_or(JsonValue::Null, |r| JsonValue::UInt(r as u64)),
-            ),
-        ]),
-    }
-}
+const FLEETS: Tags<FleetSpec> = Tags {
+    key: "preset",
+    what: "fleet preset",
+    variants: &[
+        ("paper", || FleetSpec::Paper),
+        ("", || FleetSpec::Custom {
+            groups: Vec::new(),
+            rack_size: None,
+        }),
+    ],
+};
 
-fn fleet_from_json(view: &ObjectView<'_>) -> Result<FleetSpec, SpecError> {
-    if view.get("preset").is_some() {
-        view.deny_unknown(&["preset"])?;
-        return match view.string("preset")? {
-            "paper" => Ok(FleetSpec::Paper),
-            other => Err(SpecError::new(
-                view.child_path("preset"),
-                format!("unknown fleet preset {other:?} (paper)"),
-            )),
-        };
+/// `{"preset":"paper"}`, or a custom fleet's groups.
+const FLEET: Obj<FleetSpec> = Obj::tagged(&FLEETS, |f, v| {
+    if let FleetSpec::Custom { groups, rack_size } = f {
+        v.required(
+            "groups",
+            List(GROUP).check(|g| !g.is_empty(), "must list at least one group"),
+            groups,
+        );
+        v.field("rack_size", Opt(COUNT), rack_size);
     }
-    view.deny_unknown(&["groups", "rack_size"])?;
-    let groups_path = view.child_path("groups");
-    let items = view.array("groups")?;
-    ensure(
-        !items.is_empty(),
-        &groups_path,
-        "must list at least one group",
-    )?;
-    let mut groups = Vec::new();
-    for (i, item) in items.iter().enumerate() {
-        let gv = ObjectView::new(item, format!("{groups_path}[{i}]"))?;
-        gv.deny_unknown(&["profile", "count", "slots"])?;
-        let profile = gv.string("profile")?.to_owned();
-        ensure(
-            profiles::by_name(&profile).is_some(),
-            &gv.child_path("profile"),
+});
+
+const GROUP: Obj<FleetGroup> = Obj::new(FleetGroup::default, |g, v| {
+    v.required(
+        "profile",
+        Str.check(
+            |p| profiles::by_name(p).is_some(),
             "unknown machine profile (Desktop|XeonE5|Atom|T110|T420|T320|T620)",
-        )?;
-        let count = gv.u64("count")?;
-        ensure(count > 0, &gv.child_path("count"), "must be positive")?;
-        let slots = match gv.get("slots") {
-            None | Some(JsonValue::Null) => None,
-            Some(JsonValue::Array(pair)) => {
-                let path = gv.child_path("slots");
-                ensure(
-                    pair.len() == 2,
-                    &path,
-                    "must be a [map_slots, reduce_slots] pair",
-                )?;
-                let maps = match &pair[0] {
-                    JsonValue::UInt(n) => *n,
-                    _ => {
-                        return Err(SpecError::new(
-                            path,
-                            "slot counts must be unsigned integers",
-                        ))
-                    }
-                };
-                let reduces = match &pair[1] {
-                    JsonValue::UInt(n) => *n,
-                    _ => {
-                        return Err(SpecError::new(
-                            path,
-                            "slot counts must be unsigned integers",
-                        ))
-                    }
-                };
-                ensure(maps > 0, &path, "map slot count must be positive")?;
-                Some((maps as usize, reduces as usize))
-            }
-            Some(other) => {
-                return Err(SpecError::new(
-                    gv.child_path("slots"),
-                    format!(
-                        "expected a [map_slots, reduce_slots] pair or null, found {}",
-                        kind_name(other)
-                    ),
-                ))
-            }
-        };
-        groups.push(FleetGroup {
-            profile,
-            count: count as usize,
-            slots,
-        });
-    }
-    let rack_size = match view.opt_u64("rack_size")? {
-        None => None,
-        Some(r) => {
-            ensure(r > 0, &view.child_path("rack_size"), "must be positive")?;
-            Some(r as usize)
-        }
-    };
-    Ok(FleetSpec::Custom { groups, rack_size })
-}
+        ),
+        &mut g.profile,
+    );
+    v.required("count", COUNT, &mut g.count);
+    v.field(
+        "slots",
+        Opt(Pair(USIZE, USIZE).check(|&(m, _)| m > 0, "map slot count must be positive")),
+        &mut g.slots,
+    );
+});
 
-// ---------------------------------------------------------------------------
 // Engine
 
-fn engine_to_json(cfg: &EngineConfig) -> JsonValue {
-    object([
-        ("heartbeat_s", duration_to_json(cfg.heartbeat)),
-        ("control_interval_s", duration_to_json(cfg.control_interval)),
-        ("reduce_slowstart", JsonValue::Num(cfg.reduce_slowstart)),
-        (
-            "speculation",
-            JsonValue::Str(
-                match cfg.speculation {
-                    SpeculationPolicy::Off => "off",
-                    SpeculationPolicy::Hadoop => "hadoop",
-                    SpeculationPolicy::Late => "late",
-                }
-                .into(),
-            ),
-        ),
-        (
-            "speculation_threshold",
-            JsonValue::Num(cfg.speculation_threshold),
-        ),
-        (
-            "noise",
-            object([
-                ("straggler_prob", JsonValue::Num(cfg.noise.straggler_prob)),
-                (
-                    "slowdown_min",
-                    JsonValue::Num(cfg.noise.straggler_slowdown.0),
-                ),
-                (
-                    "slowdown_max",
-                    JsonValue::Num(cfg.noise.straggler_slowdown.1),
-                ),
-                (
-                    "utilization_jitter",
-                    JsonValue::Num(cfg.noise.utilization_jitter),
-                ),
-            ]),
-        ),
-        (
-            "fault",
-            if cfg.fault.is_enabled() {
-                object([
-                    (
-                        "crash_mtbf_s",
-                        if cfg.fault.crash_mtbf.is_zero() {
-                            JsonValue::Null
-                        } else {
-                            duration_to_json(cfg.fault.crash_mtbf)
-                        },
-                    ),
-                    (
-                        "crash_downtime_s",
-                        if cfg.fault.crash_downtime.is_zero() {
-                            JsonValue::Null
-                        } else {
-                            duration_to_json(cfg.fault.crash_downtime)
-                        },
-                    ),
-                    (
-                        "task_failure_prob",
-                        JsonValue::Num(cfg.fault.task_failure_prob),
-                    ),
-                    (
-                        "missed_heartbeats",
-                        JsonValue::UInt(u64::from(cfg.fault.missed_heartbeats)),
-                    ),
-                    (
-                        "max_task_retries",
-                        JsonValue::UInt(u64::from(cfg.fault.max_task_retries)),
-                    ),
-                    (
-                        "blacklist_threshold",
-                        JsonValue::UInt(u64::from(cfg.fault.blacklist_threshold)),
-                    ),
-                ])
-            } else {
-                JsonValue::Null
-            },
-        ),
-        (
-            "power_down",
-            match &cfg.power_down {
-                None => JsonValue::Null,
-                Some(pd) => object([
-                    ("idle_timeout_s", duration_to_json(pd.idle_timeout)),
-                    ("standby_watts", JsonValue::Num(pd.standby_watts)),
-                    ("wake_latency_s", duration_to_json(pd.wake_latency)),
-                ]),
-            },
-        ),
-        (
-            "dvfs",
-            match &cfg.dvfs {
-                None => JsonValue::Null,
-                Some(d) => object([
-                    ("eco_factor", JsonValue::Num(d.eco_factor)),
-                    ("low_utilization", JsonValue::Num(d.low_utilization)),
-                    ("high_utilization", JsonValue::Num(d.high_utilization)),
-                ]),
-            },
-        ),
-        ("max_sim_time_s", duration_to_json(cfg.max_sim_time)),
-    ])
-}
+const SPECULATION: Names<SpeculationPolicy> = Names {
+    what: "speculation policy",
+    table: &[
+        ("off", SpeculationPolicy::Off),
+        ("hadoop", SpeculationPolicy::Hadoop),
+        ("late", SpeculationPolicy::Late),
+    ],
+};
 
-fn engine_from_json(view: &ObjectView<'_>) -> Result<EngineConfig, SpecError> {
-    view.deny_unknown(&[
-        "heartbeat_s",
-        "control_interval_s",
-        "reduce_slowstart",
-        "speculation",
+const ENGINE: Obj<EngineConfig> = Obj::new(EngineConfig::default, |c, v| {
+    v.field("heartbeat_s", POSITIVE_SECS, &mut c.heartbeat);
+    v.field("control_interval_s", POSITIVE_SECS, &mut c.control_interval);
+    v.field("reduce_slowstart", FRACTION, &mut c.reduce_slowstart);
+    v.field("speculation", SPECULATION, &mut c.speculation);
+    v.field(
         "speculation_threshold",
-        "noise",
+        F64.check(|x| x.is_finite() && *x >= 1.0, "must be >= 1"),
+        &mut c.speculation_threshold,
+    );
+    v.field("noise", Noise, &mut c.noise);
+    v.field(
         "fault",
-        "power_down",
-        "dvfs",
-        "max_sim_time_s",
-    ])?;
-    let base = EngineConfig::default();
+        Map::new(
+            Opt(FAULT),
+            |f| f.unwrap_or_else(FaultConfig::none),
+            |f| f.is_enabled().then_some(*f),
+        ),
+        &mut c.fault,
+    );
+    v.field("power_down", Opt(POWER_DOWN), &mut c.power_down);
+    v.field("dvfs", Opt(DVFS), &mut c.dvfs);
+    v.field("max_sim_time_s", POSITIVE_SECS, &mut c.max_sim_time);
+});
 
-    let heartbeat = opt_duration(view, "heartbeat_s", true)?.unwrap_or(base.heartbeat);
-    let control_interval =
-        opt_duration(view, "control_interval_s", true)?.unwrap_or(base.control_interval);
-    let reduce_slowstart = view
-        .opt_f64("reduce_slowstart")?
-        .unwrap_or(base.reduce_slowstart);
-    ensure(
-        reduce_slowstart > 0.0 && reduce_slowstart <= 1.0,
-        &view.child_path("reduce_slowstart"),
-        "must be in (0, 1]",
-    )?;
-    let speculation = match view.opt_string("speculation")? {
-        None => base.speculation,
-        Some("off") => SpeculationPolicy::Off,
-        Some("hadoop") => SpeculationPolicy::Hadoop,
-        Some("late") => SpeculationPolicy::Late,
-        Some(other) => {
-            return Err(SpecError::new(
-                view.child_path("speculation"),
-                format!("unknown speculation policy {other:?} (off|hadoop|late)"),
-            ))
+const NOISE_PRESETS: Names<fn() -> NoiseConfig> = Names {
+    what: "noise preset",
+    table: &[
+        ("none", NoiseConfig::none),
+        ("paper", NoiseConfig::paper_default),
+    ],
+};
+
+/// Noise settings: written as an object, read as one or as a preset name.
+#[derive(Debug, Clone, Copy)]
+struct Noise;
+
+impl Codec for Noise {
+    type Value = NoiseConfig;
+
+    fn write(&self, value: &mut NoiseConfig) -> JsonValue {
+        NOISE.write(value)
+    }
+
+    fn read(&self, json: &JsonValue, path: &dyn Fn() -> String) -> Result<NoiseConfig, SpecError> {
+        match json {
+            JsonValue::Str(_) => NOISE_PRESETS.read(json, path).map(|preset| preset()),
+            _ => NOISE.read(json, path),
         }
-    };
-    let speculation_threshold = view
-        .opt_f64("speculation_threshold")?
-        .unwrap_or(base.speculation_threshold);
-    ensure(
-        speculation_threshold.is_finite() && speculation_threshold >= 1.0,
-        &view.child_path("speculation_threshold"),
-        "must be >= 1",
-    )?;
-
-    let noise = match view.get("noise") {
-        None | Some(JsonValue::Null) => base.noise,
-        Some(JsonValue::Str(s)) => match s.as_str() {
-            "none" => NoiseConfig::none(),
-            "paper" => NoiseConfig::paper_default(),
-            other => {
-                return Err(SpecError::new(
-                    view.child_path("noise"),
-                    format!("unknown noise preset {other:?} (none|paper)"),
-                ))
-            }
-        },
-        Some(_) => noise_from_json(&view.obj("noise")?)?,
-    };
-
-    let fault = match view.opt_obj("fault")? {
-        None => FaultConfig::none(),
-        Some(fv) => fault_from_json(&fv)?,
-    };
-
-    let power_down = match view.opt_obj("power_down")? {
-        None => None,
-        Some(pv) => Some(power_down_from_json(&pv)?),
-    };
-
-    let dvfs = match view.opt_obj("dvfs")? {
-        None => None,
-        Some(dv) => Some(dvfs_from_json(&dv)?),
-    };
-
-    let max_sim_time = opt_duration(view, "max_sim_time_s", true)?.unwrap_or(base.max_sim_time);
-
-    // `..Default::default()` keeps `trace_decisions` at its off default
-    // without naming it.
-    Ok(EngineConfig {
-        heartbeat,
-        control_interval,
-        reduce_slowstart,
-        noise,
-        fault,
-        power_down,
-        speculation,
-        dvfs,
-        speculation_threshold,
-        max_sim_time,
-        ..EngineConfig::default()
-    })
+    }
 }
 
-fn noise_from_json(view: &ObjectView<'_>) -> Result<NoiseConfig, SpecError> {
-    view.deny_unknown(&[
-        "straggler_prob",
-        "slowdown_min",
-        "slowdown_max",
+const NOISE: Obj<NoiseConfig> = Obj::new(NoiseConfig::paper_default, |n, v| {
+    v.field("straggler_prob", PROBABILITY, &mut n.straggler_prob);
+    v.field("slowdown_min", F64, &mut n.straggler_slowdown.0);
+    v.field("slowdown_max", F64, &mut n.straggler_slowdown.1);
+    v.field(
         "utilization_jitter",
-    ])?;
-    let base = NoiseConfig::paper_default();
-    let straggler_prob = view
-        .opt_f64("straggler_prob")?
-        .unwrap_or(base.straggler_prob);
-    ensure(
-        (0.0..=1.0).contains(&straggler_prob),
-        &view.child_path("straggler_prob"),
-        "must be in [0, 1]",
-    )?;
-    let lo = view
-        .opt_f64("slowdown_min")?
-        .unwrap_or(base.straggler_slowdown.0);
-    let hi = view
-        .opt_f64("slowdown_max")?
-        .unwrap_or(base.straggler_slowdown.1);
+        NON_NEGATIVE,
+        &mut n.utilization_jitter,
+    );
+})
+.validated(|n| {
+    let (lo, hi) = n.straggler_slowdown;
     ensure(
         lo.is_finite() && hi.is_finite() && lo >= 1.0 && hi >= lo,
-        &view.child_path("slowdown_min"),
+        "slowdown_min",
         "slowdown range must satisfy 1 <= min <= max",
-    )?;
-    let utilization_jitter = view
-        .opt_f64("utilization_jitter")?
-        .unwrap_or(base.utilization_jitter);
-    ensure(
-        utilization_jitter.is_finite() && utilization_jitter >= 0.0,
-        &view.child_path("utilization_jitter"),
-        "must be non-negative",
-    )?;
-    Ok(NoiseConfig {
-        straggler_prob,
-        straggler_slowdown: (lo, hi),
-        utilization_jitter,
-    })
-}
+    )
+});
 
-fn fault_from_json(view: &ObjectView<'_>) -> Result<FaultConfig, SpecError> {
-    view.deny_unknown(&[
-        "crash_mtbf_s",
-        "crash_downtime_s",
-        "task_failure_prob",
-        "missed_heartbeats",
-        "max_task_retries",
-        "blacklist_threshold",
-    ])?;
-    let base = FaultConfig::none();
-    // An explicit zero MTBF is almost always a mistaken attempt to disable
-    // crashes inside an enabled fault block — reject it loudly.
-    let crash_mtbf = opt_duration(view, "crash_mtbf_s", true)?.unwrap_or(SimDuration::ZERO);
-    let crash_downtime = opt_duration(view, "crash_downtime_s", true)?.unwrap_or(SimDuration::ZERO);
-    let task_failure_prob = view.opt_f64("task_failure_prob")?.unwrap_or(0.0);
-    ensure(
-        (0.0..=1.0).contains(&task_failure_prob),
-        &view.child_path("task_failure_prob"),
-        "must be in [0, 1]",
-    )?;
-    let missed_heartbeats = small_u32(view, "missed_heartbeats", base.missed_heartbeats)?;
-    let max_task_retries = small_u32(view, "max_task_retries", base.max_task_retries)?;
-    let blacklist_threshold = small_u32(view, "blacklist_threshold", base.blacklist_threshold)?;
+/// A positive duration, or `null` for zero. An explicit zero is rejected:
+/// in a fault block it is almost always a mistaken attempt to disable
+/// crashes.
+const ZERO_AS_NULL: Map<Opt<Check<Secs>>, SimDuration> =
+    Map::new(Opt(POSITIVE_SECS), Option::unwrap_or_default, |d| {
+        (!d.is_zero()).then_some(*d)
+    });
 
-    if !crash_mtbf.is_zero() {
+/// An enabled fault block; the engine writes a disabled one as `null`.
+const FAULT: Obj<FaultConfig> = Obj::new(FaultConfig::none, |f, v| {
+    v.field("crash_mtbf_s", ZERO_AS_NULL, &mut f.crash_mtbf);
+    v.field("crash_downtime_s", ZERO_AS_NULL, &mut f.crash_downtime);
+    v.field("task_failure_prob", PROBABILITY, &mut f.task_failure_prob);
+    v.field("missed_heartbeats", U32, &mut f.missed_heartbeats);
+    v.field("max_task_retries", U32, &mut f.max_task_retries);
+    v.field("blacklist_threshold", U32, &mut f.blacklist_threshold);
+})
+.validated(|f| {
+    if !f.crash_mtbf.is_zero() {
         ensure(
-            !crash_downtime.is_zero(),
-            &view.child_path("crash_downtime_s"),
+            !f.crash_downtime.is_zero(),
+            "crash_downtime_s",
             "must be positive when crashes are enabled",
         )?;
         ensure(
-            missed_heartbeats >= 1,
-            &view.child_path("missed_heartbeats"),
+            f.missed_heartbeats >= 1,
+            "missed_heartbeats",
             "must be >= 1 when crashes are enabled",
         )?;
     }
-    if task_failure_prob > 0.0 {
+    if f.task_failure_prob > 0.0 {
         ensure(
-            max_task_retries >= 1,
-            &view.child_path("max_task_retries"),
+            f.max_task_retries >= 1,
+            "max_task_retries",
             "must be >= 1 when task failures are enabled",
         )?;
     }
-    let cfg = FaultConfig {
-        crash_mtbf,
-        crash_downtime,
-        task_failure_prob,
-        missed_heartbeats,
-        max_task_retries,
-        blacklist_threshold,
-    };
     ensure(
-        cfg.is_enabled(),
-        view.path(),
+        f.is_enabled(),
+        "",
         "fault block enables nothing; set crash_mtbf_s or task_failure_prob, or use null",
-    )?;
-    Ok(cfg)
-}
+    )
+});
 
-fn small_u32(view: &ObjectView<'_>, key: &str, default: u32) -> Result<u32, SpecError> {
-    match view.opt_u64(key)? {
-        None => Ok(default),
-        Some(n) => {
-            ensure(
-                n <= u64::from(u32::MAX),
-                &view.child_path(key),
-                "must fit in 32 bits",
-            )?;
-            Ok(n as u32)
-        }
-    }
-}
+const POWER_DOWN: Obj<PowerDownConfig> = Obj::new(PowerDownConfig::suspend_to_ram, |p, v| {
+    v.field("idle_timeout_s", POSITIVE_SECS, &mut p.idle_timeout);
+    v.field("standby_watts", NON_NEGATIVE, &mut p.standby_watts);
+    v.field("wake_latency_s", Secs, &mut p.wake_latency);
+});
 
-fn power_down_from_json(view: &ObjectView<'_>) -> Result<PowerDownConfig, SpecError> {
-    view.deny_unknown(&["idle_timeout_s", "standby_watts", "wake_latency_s"])?;
-    let base = PowerDownConfig::suspend_to_ram();
-    let idle_timeout = opt_duration(view, "idle_timeout_s", true)?.unwrap_or(base.idle_timeout);
-    let standby_watts = view.opt_f64("standby_watts")?.unwrap_or(base.standby_watts);
+const DVFS: Obj<DvfsConfig> = Obj::new(DvfsConfig::conservative, |d, v| {
+    v.field("eco_factor", FRACTION, &mut d.eco_factor);
+    v.field("low_utilization", F64, &mut d.low_utilization);
+    v.field("high_utilization", F64, &mut d.high_utilization);
+})
+.validated(|d| {
     ensure(
-        standby_watts.is_finite() && standby_watts >= 0.0,
-        &view.child_path("standby_watts"),
-        "must be non-negative",
-    )?;
-    let wake_latency = opt_duration(view, "wake_latency_s", false)?.unwrap_or(base.wake_latency);
-    Ok(PowerDownConfig {
-        idle_timeout,
-        standby_watts,
-        wake_latency,
-    })
-}
-
-fn dvfs_from_json(view: &ObjectView<'_>) -> Result<DvfsConfig, SpecError> {
-    view.deny_unknown(&["eco_factor", "low_utilization", "high_utilization"])?;
-    let base = DvfsConfig::conservative();
-    let eco_factor = view.opt_f64("eco_factor")?.unwrap_or(base.eco_factor);
-    ensure(
-        eco_factor > 0.0 && eco_factor <= 1.0,
-        &view.child_path("eco_factor"),
-        "must be in (0, 1]",
-    )?;
-    let low = view
-        .opt_f64("low_utilization")?
-        .unwrap_or(base.low_utilization);
-    let high = view
-        .opt_f64("high_utilization")?
-        .unwrap_or(base.high_utilization);
-    ensure(
-        (0.0..=1.0).contains(&low) && low < high && high <= 1.0,
-        &view.child_path("low_utilization"),
+        (0.0..=1.0).contains(&d.low_utilization)
+            && d.low_utilization < d.high_utilization
+            && d.high_utilization <= 1.0,
+        "low_utilization",
         "utilization thresholds must satisfy 0 <= low < high <= 1",
-    )?;
-    Ok(DvfsConfig {
-        eco_factor,
-        low_utilization: low,
-        high_utilization: high,
-    })
-}
-
-fn tolerance_from_json(view: &ObjectView<'_>) -> Result<Tolerance, SpecError> {
-    view.deny_unknown(&["energy_rel", "makespan_rel"])?;
-    let base = Tolerance::default();
-    let energy_rel = view.opt_f64("energy_rel")?.unwrap_or(base.energy_rel);
-    ensure(
-        energy_rel.is_finite() && energy_rel > 0.0,
-        &view.child_path("energy_rel"),
-        "must be positive",
-    )?;
-    let makespan_rel = view.opt_f64("makespan_rel")?.unwrap_or(base.makespan_rel);
-    ensure(
-        makespan_rel.is_finite() && makespan_rel > 0.0,
-        &view.child_path("makespan_rel"),
-        "must be positive",
-    )?;
-    Ok(Tolerance {
-        energy_rel,
-        makespan_rel,
-    })
-}
+    )
+});
 
 #[cfg(test)]
 mod tests {

@@ -22,8 +22,9 @@ use std::path::{Path, PathBuf};
 use cluster::SlotKind;
 use hadoop_sim::trace::SharedObserver;
 use hadoop_sim::{RunResult, SimEvent, SloBreach, SloStats, SloWatchdog};
-use metrics::emit::{object, JsonValue};
+use metrics::emit::JsonValue;
 use metrics::registry::{RegistryObserver, SeriesSnapshot};
+use metrics::spec::{Bool, Codec, Obj, Str, F64, MILLIS, U64};
 use metrics::trace::trace_line;
 use simcore::SimTime;
 
@@ -143,6 +144,44 @@ pub struct PostmortemBundle {
     pub decisions: String,
 }
 
+/// A postmortem bundle's breach metadata, as `breach.json` holds it: the
+/// bundle's cell and its [`SloBreach`], with the monitor by name and the
+/// window statistics inline.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub(crate) struct BreachRecord {
+    pub scenario: String,
+    pub scheduler: String,
+    pub seed: u64,
+    pub fast: bool,
+    pub monitor: String,
+    pub at: SimTime,
+    pub observed: f64,
+    pub threshold: f64,
+    pub window_completions: u64,
+    pub p95_sojourn_s: f64,
+    pub p99_sojourn_s: f64,
+    pub queue_depth: u64,
+    pub backlog_growth_per_min: f64,
+    pub events_recorded: u64,
+}
+
+pub(crate) const BREACH: Obj<BreachRecord> = Obj::new(BreachRecord::default, |b, v| {
+    v.required("scenario", Str, &mut b.scenario);
+    v.required("scheduler", Str, &mut b.scheduler);
+    v.required("seed", U64, &mut b.seed);
+    v.required("fast", Bool, &mut b.fast);
+    v.required("monitor", Str, &mut b.monitor);
+    v.required("at_ms", MILLIS, &mut b.at);
+    v.required("observed", F64, &mut b.observed);
+    v.required("threshold", F64, &mut b.threshold);
+    v.required("window_completions", U64, &mut b.window_completions);
+    v.required("p95_sojourn_s", F64, &mut b.p95_sojourn_s);
+    v.required("p99_sojourn_s", F64, &mut b.p99_sojourn_s);
+    v.required("queue_depth", U64, &mut b.queue_depth);
+    v.required("backlog_growth_per_min", F64, &mut b.backlog_growth_per_min);
+    v.required("events_recorded", U64, &mut b.events_recorded);
+});
+
 impl PostmortemBundle {
     fn new(
         spec: &ScenarioSpec,
@@ -170,29 +209,23 @@ impl PostmortemBundle {
     /// Canonical breach metadata (`breach.json`).
     #[must_use]
     pub fn breach_json(&self) -> JsonValue {
-        let b = &self.breach;
-        object([
-            ("scenario", JsonValue::Str(self.scenario.clone())),
-            ("scheduler", JsonValue::Str(self.scheduler.clone())),
-            ("seed", JsonValue::UInt(self.seed)),
-            ("fast", JsonValue::Bool(self.fast)),
-            ("monitor", JsonValue::Str(b.monitor.to_owned())),
-            ("at_ms", JsonValue::UInt(b.at.as_millis())),
-            ("observed", JsonValue::Num(b.observed)),
-            ("threshold", JsonValue::Num(b.threshold)),
-            (
-                "window_completions",
-                JsonValue::UInt(b.stats.window_completions),
-            ),
-            ("p95_sojourn_s", JsonValue::Num(b.stats.p95_sojourn_s)),
-            ("p99_sojourn_s", JsonValue::Num(b.stats.p99_sojourn_s)),
-            ("queue_depth", JsonValue::UInt(b.stats.queue_depth)),
-            (
-                "backlog_growth_per_min",
-                JsonValue::Num(b.stats.backlog_growth_per_min),
-            ),
-            ("events_recorded", JsonValue::UInt(self.events.len() as u64)),
-        ])
+        let stats = self.breach.stats;
+        BREACH.write(&mut BreachRecord {
+            scenario: self.scenario.clone(),
+            scheduler: self.scheduler.clone(),
+            seed: self.seed,
+            fast: self.fast,
+            monitor: self.breach.monitor.to_owned(),
+            at: self.breach.at,
+            observed: self.breach.observed,
+            threshold: self.breach.threshold,
+            window_completions: stats.window_completions,
+            p95_sojourn_s: stats.p95_sojourn_s,
+            p99_sojourn_s: stats.p99_sojourn_s,
+            queue_depth: stats.queue_depth,
+            backlog_growth_per_min: stats.backlog_growth_per_min,
+            events_recorded: self.events.len() as u64,
+        })
     }
 
     /// The flight-recorder evidence as trace JSONL (`events.jsonl`), one

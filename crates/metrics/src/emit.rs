@@ -27,7 +27,9 @@ use hadoop_sim::{
 };
 use simcore::series::TimeSeries;
 use simcore::{SimDuration, SimTime};
-use workload::{JobId, SizeClass, TaskId};
+use workload::{JobId, SizeClass, TaskId, TaskIndex};
+
+use crate::spec::{Codec, List, Map, Names, Obj, Pair, Str, F64, MILLIS, U32, U64};
 
 /// A JSON document tree.
 ///
@@ -489,15 +491,16 @@ impl ToJson for MachineId {
     }
 }
 
+/// The names of the two slot pools, for every codec that writes or reads
+/// one.
+pub(crate) const SLOT_KINDS: Names<SlotKind> = Names {
+    what: "slot kind",
+    table: &[("map", SlotKind::Map), ("reduce", SlotKind::Reduce)],
+};
+
 impl ToJson for SlotKind {
     fn to_json(&self) -> JsonValue {
-        JsonValue::Str(
-            match self {
-                SlotKind::Map => "map",
-                SlotKind::Reduce => "reduce",
-            }
-            .to_owned(),
-        )
+        SLOT_KINDS.write(&mut { *self })
     }
 }
 
@@ -514,16 +517,19 @@ impl ToJson for Locality {
     }
 }
 
+/// The names of the job size classes.
+pub const SIZE_CLASSES: Names<SizeClass> = Names {
+    what: "size class",
+    table: &[
+        ("small", SizeClass::Small),
+        ("medium", SizeClass::Medium),
+        ("large", SizeClass::Large),
+    ],
+};
+
 impl ToJson for SizeClass {
     fn to_json(&self) -> JsonValue {
-        JsonValue::Str(
-            match self {
-                SizeClass::Small => "small",
-                SizeClass::Medium => "medium",
-                SizeClass::Large => "large",
-            }
-            .to_owned(),
-        )
+        SIZE_CLASSES.write(&mut { *self })
     }
 }
 
@@ -540,29 +546,56 @@ impl ToJson for JobPhase {
     }
 }
 
+/// A placeholder task id, the base a reader fills in.
+pub(crate) const NO_TASK: TaskId = TaskId {
+    job: JobId(0),
+    task: TaskIndex {
+        kind: SlotKind::Map,
+        index: 0,
+    },
+};
+
+/// A task id: `{"job":…,"kind":…,"index":…}`.
+pub(crate) const TASK: Obj<TaskId> = Obj::new(
+    || NO_TASK,
+    |t, v| {
+        v.required("job", U64, &mut t.job.0);
+        v.required("kind", SLOT_KINDS, &mut t.task.kind);
+        v.required("index", U32, &mut t.task.index);
+    },
+);
+
 impl ToJson for TaskId {
     fn to_json(&self) -> JsonValue {
-        object([
-            ("job", self.job.to_json()),
-            ("kind", self.task.kind.to_json()),
-            ("index", JsonValue::UInt(u64::from(self.task.index))),
-        ])
+        TASK.write(&mut { *self })
     }
 }
 
+/// A time series: `{"name":…,"samples":[[millis,value],…]}`. A reader
+/// clamps out-of-order samples as [`TimeSeries::record`] does.
+pub(crate) const SERIES: Map<Obj<SeriesParts>, TimeSeries> = Map::new(
+    Obj::new(
+        || (String::new(), Vec::new()),
+        |(name, samples), v| {
+            v.required("name", Str, name);
+            v.required("samples", List(Pair(MILLIS, F64)), samples);
+        },
+    ),
+    |(name, samples)| {
+        let mut series = TimeSeries::new(name);
+        for (at, value) in samples {
+            series.record(at, value);
+        }
+        series
+    },
+    |series| (series.name().to_owned(), series.iter().collect()),
+);
+
+type SeriesParts = (String, Vec<(SimTime, f64)>);
+
 impl ToJson for TimeSeries {
     fn to_json(&self) -> JsonValue {
-        object([
-            ("name", JsonValue::Str(self.name().to_owned())),
-            (
-                "samples",
-                JsonValue::Array(
-                    self.iter()
-                        .map(|(t, v)| JsonValue::Array(vec![t.to_json(), JsonValue::Num(v)]))
-                        .collect(),
-                ),
-            ),
-        ])
+        SERIES.write(&mut self.clone())
     }
 }
 

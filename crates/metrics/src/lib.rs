@@ -18,8 +18,9 @@
 //! * [`registry`] — the fixed set of counters, gauges and histograms that
 //!   [`registry::RegistryObserver`] folds out of the event stream, with a
 //!   canonical, byte-stable JSON snapshot and sampled time series.
-//! * [`spec`] — shared decoding machinery for canonical-JSON *spec*
-//!   documents: [`spec::ObjectView`] typed accessors, [`spec::SpecError`]
+//! * [`spec`] — one declaration per persisted field: a [`spec::Visitor`]
+//!   walks a type's field list to write its canonical JSON or to read it
+//!   back, with [`spec::Codec`]s for the leaves, [`spec::SpecError`]
 //!   dotted-path errors and the line/snippet context helpers that give
 //!   scenario files the same error ergonomics as trace replay.
 //! * [`trace`] — the canonical JSONL trace codec:

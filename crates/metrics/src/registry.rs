@@ -51,7 +51,8 @@ use simcore::series::TimeSeries;
 use simcore::SimTime;
 use workload::TaskId;
 
-use crate::emit::{object, JsonValue, ToJson};
+use crate::emit::{object, JsonValue, SERIES};
+use crate::spec::{Codec, List, Obj, U64};
 
 /// Queue-depth histogram bounds (pending tasks at each heartbeat drain).
 const QUEUE_DEPTH_BOUNDS: [f64; 8] = [0.0, 8.0, 32.0, 128.0, 512.0, 2048.0, 8192.0, 32768.0];
@@ -368,7 +369,7 @@ impl Sampler {
 /// sorted by name, plus the count of samples dropped to the per-series
 /// capacity bound. Canonical JSON via [`SeriesSnapshot::render`], inverse
 /// [`SeriesSnapshot::parse`].
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SeriesSnapshot {
     /// Samples discarded because a series hit the capacity bound.
     pub dropped: u64,
@@ -378,16 +379,15 @@ pub struct SeriesSnapshot {
     pub series: Vec<TimeSeries>,
 }
 
+const SNAPSHOT: Obj<SeriesSnapshot> = Obj::new(SeriesSnapshot::default, |s, v| {
+    v.required("dropped", U64, &mut s.dropped);
+    v.required("series", List(SERIES), &mut s.series);
+});
+
 impl SeriesSnapshot {
     /// Canonical JSON: `{"dropped":N,"series":[{"name":...,"samples":[[ms,v],...]},...]}`.
     pub fn to_json(&self) -> JsonValue {
-        object([
-            ("dropped", JsonValue::UInt(self.dropped)),
-            (
-                "series",
-                JsonValue::Array(self.series.iter().map(ToJson::to_json).collect()),
-            ),
-        ])
+        SNAPSHOT.write(&mut self.clone())
     }
 
     /// Renders the canonical JSON document.
@@ -399,42 +399,10 @@ impl SeriesSnapshot {
     ///
     /// # Errors
     ///
-    /// Returns a message naming the malformed field.
+    /// Returns a message naming the dotted path of the malformed field.
     pub fn parse(text: &str) -> Result<SeriesSnapshot, String> {
         let doc = JsonValue::parse(text)?;
-        let dropped = doc
-            .get("dropped")
-            .and_then(JsonValue::as_u64)
-            .ok_or("missing or mistyped \"dropped\"")?;
-        let Some(JsonValue::Array(items)) = doc.get("series") else {
-            return Err("missing or mistyped \"series\"".to_owned());
-        };
-        let mut series = Vec::with_capacity(items.len());
-        for (i, item) in items.iter().enumerate() {
-            let ctx = |m: &str| format!("series {i}: {m}");
-            let name = item
-                .get("name")
-                .and_then(JsonValue::as_str)
-                .ok_or_else(|| ctx("missing or mistyped \"name\""))?;
-            let Some(JsonValue::Array(samples)) = item.get("samples") else {
-                return Err(ctx("missing or mistyped \"samples\""));
-            };
-            let mut ts = TimeSeries::new(name);
-            for s in samples {
-                let JsonValue::Array(pair) = s else {
-                    return Err(ctx("sample is not a [millis,value] pair"));
-                };
-                let (Some(at), Some(v)) = (
-                    pair.first().and_then(JsonValue::as_u64),
-                    pair.get(1).and_then(JsonValue::as_f64),
-                ) else {
-                    return Err(ctx("sample is not a [millis,value] pair"));
-                };
-                ts.record(SimTime::from_millis(at), v);
-            }
-            series.push(ts);
-        }
-        Ok(SeriesSnapshot { dropped, series })
+        SNAPSHOT.read_root(&doc).map_err(|e| e.to_string())
     }
 
     /// Looks up a series by exact name.

@@ -1,16 +1,26 @@
-//! Shared machinery for decoding *specification documents* — canonical-JSON
-//! files that describe what to run rather than what happened.
+//! One declaration per persisted field: the field lists every canonical-JSON
+//! document of the workspace is written and read by, and the error
+//! machinery that points a bad input at its line.
 //!
-//! The trace codec ([`crate::trace`]) established the error contract this
-//! module generalizes: a bad input names the offending line and shows a
-//! bounded snippet of it, so a typo in a 60-line scenario file points
-//! straight at the damage. Decoders build on three pieces:
+//! A persisted type lists its fields once, in key order, as a plain
+//! `fn(&mut T, &mut Visitor)`, naming each field's [`Codec`]; the shape is
+//! serde's `serialize_field` per field, without serde. An [`Obj`] pairs that
+//! list with the type's declared base value, and the one list drives both
+//! directions: [`Codec::write`] emits every listed field in order (the
+//! canonical bytes), and [`Codec::read`] starts from the base, overwrites
+//! each present key, requires the keys with no base and rejects every key
+//! the list does not name. Cross-field checks run after the read
+//! ([`Obj::validated`]). The pieces:
 //!
+//! * [`Visitor`] — one walk of a field list, writing or reading.
+//! * Leaf codecs — [`Str`], [`Bool`], [`F64`], the integer codecs [`U64`],
+//!   [`U32`] and [`USIZE`], [`MILLIS`] and [`Raw`] — and the combinators
+//!   [`Opt`] (`null` when absent), [`OmitIf`] (key left out), [`List`],
+//!   [`Pair`], [`Map`] and [`Check`].
+//! * [`Names`] — one name table per fieldless enum, and [`Tags`] — the tag
+//!   table of a tagged union, each used by both directions.
 //! * [`SpecError`] — a dotted-path + message pair (`` `engine.fault.crash_mtbf_s`:
-//!   must be positive ``), produced while walking a parsed [`JsonValue`].
-//! * [`ObjectView`] — a path-carrying cursor over a JSON object with typed
-//!   accessors ([`ObjectView::u64`], [`ObjectView::f64`], …), required-key
-//!   checks and [`ObjectView::deny_unknown`] for strict schemas.
+//!   must be positive ``). Paths are built only when a read fails.
 //! * [`with_context`] / [`syntax_context`] — map a [`SpecError`] or a raw
 //!   [`JsonValue::parse`] byte-offset error back onto the original text,
 //!   yielding the `line N: …; offending line: …` format of
@@ -19,6 +29,8 @@
 //! The module also hosts [`fnv1a_64`], the digest used to key run databases
 //! by spec content, and [`snippet`], the UTF-8-safe line truncation shared
 //! with the trace reader.
+
+use simcore::SimTime;
 
 use crate::emit::JsonValue;
 
@@ -61,49 +73,32 @@ pub fn ensure(cond: bool, path: &str, message: &str) -> Result<(), SpecError> {
     }
 }
 
-/// A cursor over one JSON object that remembers its dotted path from the
-/// document root, so every accessor failure names the exact value.
-#[derive(Debug, Clone)]
-pub struct ObjectView<'a> {
+/// One JSON object being read: its keys, its dotted path from the document
+/// root, which keys the field list has named, and the first bad value.
+#[derive(Debug)]
+struct Reader<'a> {
     fields: &'a [(String, JsonValue)],
     path: String,
+    /// Bit `i` is set once the list named the document's `i`-th key.
+    listed: u64,
+    error: Option<SpecError>,
 }
 
-impl<'a> ObjectView<'a> {
-    /// Views the document root, which must be an object.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error at `(root)` if `value` is not a JSON object.
-    pub fn root(value: &'a JsonValue) -> Result<Self, SpecError> {
-        Self::new(value, "(root)")
-    }
-
-    /// Views `value` (which must be an object) at `path`.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error at `path` if `value` is not a JSON object.
-    pub fn new(value: &'a JsonValue, path: impl Into<String>) -> Result<Self, SpecError> {
-        let path = path.into();
+impl<'a> Reader<'a> {
+    fn new(value: &'a JsonValue, path: String) -> Result<Self, SpecError> {
         match value {
-            JsonValue::Object(fields) => Ok(Self { fields, path }),
-            other => Err(SpecError::new(
+            JsonValue::Object(fields) => Ok(Reader {
+                fields,
                 path,
-                format!("expected an object, found {}", kind_name(other)),
-            )),
+                listed: 0,
+                error: None,
+            }),
+            other => Err(expected("an object", other, &|| path.clone())),
         }
     }
 
-    /// The dotted path of this object from the document root.
-    #[must_use]
-    pub fn path(&self) -> &str {
-        &self.path
-    }
-
     /// The dotted path of `key` inside this object.
-    #[must_use]
-    pub fn child_path(&self, key: &str) -> String {
+    fn child_path(&self, key: &str) -> String {
         if self.path == "(root)" {
             key.to_owned()
         } else {
@@ -111,191 +106,59 @@ impl<'a> ObjectView<'a> {
         }
     }
 
-    /// Rejects any key not in `allowed` — strict schemas catch typos
-    /// (`"crash_mtbf"` for `"crash_mtbf_s"`) instead of silently ignoring
-    /// them.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error at the first unknown key's path.
-    pub fn deny_unknown(&self, allowed: &[&str]) -> Result<(), SpecError> {
-        for (key, _) in self.fields {
-            if !allowed.contains(&key.as_str()) {
-                return Err(SpecError::new(self.child_path(key), "unknown key"));
+    /// The value at `key`, which the field list now names.
+    fn take(&mut self, key: &str) -> Option<&'a JsonValue> {
+        let i = self.fields.iter().position(|(k, _)| k == key)?;
+        if i < 64 {
+            self.listed |= 1 << i;
+        }
+        Some(&self.fields[i].1)
+    }
+
+    /// The value to read for the listed `key`: none while an earlier value
+    /// is bad, or for an absent or `null` key that keeps its base value.
+    fn next(&mut self, key: &str, required: bool) -> Option<&'a JsonValue> {
+        let json = self.take(key);
+        if self.error.is_some() {
+            return None;
+        }
+        match json {
+            None if required => {
+                self.error = Some(SpecError::new(self.child_path(key), "missing required key"));
+                None
             }
-        }
-        Ok(())
-    }
-
-    /// Raw lookup; `null` counts as present here (use the `opt_*` accessors
-    /// to treat it as absent).
-    #[must_use]
-    pub fn get(&self, key: &str) -> Option<&'a JsonValue> {
-        self.fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-    }
-
-    /// The value at `key`, which must exist.
-    ///
-    /// # Errors
-    ///
-    /// Returns a `missing required key` error at the key's path.
-    pub fn required(&self, key: &str) -> Result<&'a JsonValue, SpecError> {
-        self.get(key)
-            .ok_or_else(|| SpecError::new(self.child_path(key), "missing required key"))
-    }
-
-    fn non_null(&self, key: &str) -> Option<&'a JsonValue> {
-        match self.get(key) {
-            None | Some(JsonValue::Null) => None,
-            Some(v) => Some(v),
+            None | Some(JsonValue::Null) if !required => None,
+            json => json,
         }
     }
 
-    /// Required unsigned integer.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when the key is missing or not an unsigned integer.
-    pub fn u64(&self, key: &str) -> Result<u64, SpecError> {
-        self.coerce_u64(key, self.required(key)?)
-    }
-
-    /// Optional unsigned integer; `null` and absence both mean `None`.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when the key is present but not an unsigned integer.
-    pub fn opt_u64(&self, key: &str) -> Result<Option<u64>, SpecError> {
-        self.non_null(key)
-            .map(|v| self.coerce_u64(key, v))
-            .transpose()
-    }
-
-    fn coerce_u64(&self, key: &str, value: &JsonValue) -> Result<u64, SpecError> {
-        match value {
-            JsonValue::UInt(n) => Ok(*n),
-            other => Err(SpecError::new(
-                self.child_path(key),
-                format!("expected an unsigned integer, found {}", kind_name(other)),
-            )),
+    /// The first key the field list never named (a repeated key's second
+    /// occurrence among them), else the first bad value, else the failure
+    /// of the object's cross-field `check`, whose key is relative to it.
+    fn finish(self, check: Result<(), SpecError>) -> Result<(), SpecError> {
+        let stray =
+            (self.fields.iter().enumerate()).find(|&(i, _)| i >= 64 || self.listed & (1 << i) == 0);
+        if let Some((i, (key, _))) = stray {
+            let repeated = self.fields[..i].iter().any(|(k, _)| k == key);
+            let message = if repeated {
+                "repeated key"
+            } else {
+                "unknown key"
+            };
+            return Err(SpecError::new(self.child_path(key), message));
         }
-    }
-
-    /// Required finite number (integers coerce).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when the key is missing or not a number.
-    pub fn f64(&self, key: &str) -> Result<f64, SpecError> {
-        self.coerce_f64(key, self.required(key)?)
-    }
-
-    /// Optional number; `null` and absence both mean `None`.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when the key is present but not a number.
-    pub fn opt_f64(&self, key: &str) -> Result<Option<f64>, SpecError> {
-        self.non_null(key)
-            .map(|v| self.coerce_f64(key, v))
-            .transpose()
-    }
-
-    fn coerce_f64(&self, key: &str, value: &JsonValue) -> Result<f64, SpecError> {
-        match value.as_f64() {
-            Some(x) => Ok(x),
-            None => Err(SpecError::new(
-                self.child_path(key),
-                format!("expected a number, found {}", kind_name(value)),
-            )),
+        if let Some(e) = self.error {
+            return Err(e);
         }
-    }
-
-    /// Required string.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when the key is missing or not a string.
-    pub fn string(&self, key: &str) -> Result<&'a str, SpecError> {
-        match self.required(key)? {
-            JsonValue::Str(s) => Ok(s),
-            other => Err(SpecError::new(
-                self.child_path(key),
-                format!("expected a string, found {}", kind_name(other)),
-            )),
-        }
-    }
-
-    /// Optional string; `null` and absence both mean `None`.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when the key is present but not a string.
-    pub fn opt_string(&self, key: &str) -> Result<Option<&'a str>, SpecError> {
-        match self.non_null(key) {
-            None => Ok(None),
-            Some(JsonValue::Str(s)) => Ok(Some(s)),
-            Some(other) => Err(SpecError::new(
-                self.child_path(key),
-                format!("expected a string, found {}", kind_name(other)),
-            )),
-        }
-    }
-
-    /// Optional boolean; `null` and absence both mean `None`.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when the key is present but not a boolean.
-    pub fn opt_bool(&self, key: &str) -> Result<Option<bool>, SpecError> {
-        match self.non_null(key) {
-            None => Ok(None),
-            Some(JsonValue::Bool(b)) => Ok(Some(*b)),
-            Some(other) => Err(SpecError::new(
-                self.child_path(key),
-                format!("expected a boolean, found {}", kind_name(other)),
-            )),
-        }
-    }
-
-    /// Required array.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when the key is missing or not an array.
-    pub fn array(&self, key: &str) -> Result<&'a [JsonValue], SpecError> {
-        match self.required(key)? {
-            JsonValue::Array(items) => Ok(items),
-            other => Err(SpecError::new(
-                self.child_path(key),
-                format!("expected an array, found {}", kind_name(other)),
-            )),
-        }
-    }
-
-    /// Required child object, viewed at its own path.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when the key is missing or not an object.
-    pub fn obj(&self, key: &str) -> Result<ObjectView<'a>, SpecError> {
-        ObjectView::new(self.required(key)?, self.child_path(key))
-    }
-
-    /// Optional child object; `null` and absence both mean `None`.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when the key is present but not an object.
-    pub fn opt_obj(&self, key: &str) -> Result<Option<ObjectView<'a>>, SpecError> {
-        self.non_null(key)
-            .map(|v| ObjectView::new(v, self.child_path(key)))
-            .transpose()
+        check.map_err(|e| match e.path.as_str() {
+            "" => SpecError::new(self.path.clone(), e.message),
+            key => SpecError::new(self.child_path(key), e.message),
+        })
     }
 }
 
 /// What `value` is, for error messages ("a string", "an object", ...).
-pub fn kind_name(value: &JsonValue) -> &'static str {
+fn kind_name(value: &JsonValue) -> &'static str {
     match value {
         JsonValue::Null => "null",
         JsonValue::Bool(_) => "a boolean",
@@ -304,6 +167,550 @@ pub fn kind_name(value: &JsonValue) -> &'static str {
         JsonValue::Array(_) => "an array",
         JsonValue::Object(_) => "an object",
         JsonValue::Raw(_) => "a pre-rendered document",
+    }
+}
+
+fn expected(what: &str, found: &JsonValue, path: &dyn Fn() -> String) -> SpecError {
+    SpecError::new(
+        path(),
+        format!("expected {what}, found {}", kind_name(found)),
+    )
+}
+
+/// One walk of a field list, writing or reading.
+///
+/// A field list is a plain `fn(&mut T, &mut Visitor)` that names each field
+/// once, in key order, with the [`Codec`] of its value. Writing, the walk
+/// emits every listed field in that order (the canonical bytes). Reading, it
+/// overwrites the base value's field for each key that is present, where
+/// `null` counts as absent. Keys the list never names are rejected as
+/// `unknown key`, ahead of any bad value; otherwise the first bad value is
+/// the error, and the walk goes on only to learn the remaining keys.
+#[derive(Debug)]
+pub struct Visitor<'a>(Walk<'a>);
+
+#[derive(Debug)]
+enum Walk<'a> {
+    Write(Vec<(String, JsonValue)>),
+    Read(Reader<'a>),
+}
+
+impl Visitor<'_> {
+    /// A field whose absence keeps the base value.
+    pub fn field<C: Codec>(&mut self, key: &'static str, codec: C, value: &mut C::Value) {
+        self.visit(key, codec, value, false);
+    }
+
+    /// A field that must be present: its base value is a placeholder.
+    pub fn required<C: Codec>(&mut self, key: &'static str, codec: C, value: &mut C::Value) {
+        self.visit(key, codec, value, true);
+    }
+
+    /// A tagged union flattened into this object: the tag under
+    /// `tags.key`, then the fields `fields` lists for the variant. A reader
+    /// starts the variant from the base its tag names.
+    pub fn union<T>(
+        &mut self,
+        tags: &Tags<T>,
+        value: &mut T,
+        fields: fn(&mut T, &mut Visitor<'_>),
+    ) {
+        match &mut self.0 {
+            Walk::Write(out) => {
+                let name = tags.name(value);
+                if !name.is_empty() {
+                    out.push((tags.key.to_owned(), JsonValue::Str(name.to_owned())));
+                }
+            }
+            Walk::Read(r) => match tags.base(r) {
+                Ok(base) => *value = base,
+                // Without a variant the other keys cannot be judged.
+                Err(e) => {
+                    r.listed = u64::MAX;
+                    r.error.get_or_insert(e);
+                    return;
+                }
+            },
+        }
+        fields(value, self);
+    }
+
+    fn visit<C: Codec>(
+        &mut self,
+        key: &'static str,
+        codec: C,
+        value: &mut C::Value,
+        required: bool,
+    ) {
+        match &mut self.0 {
+            Walk::Write(fields) => {
+                if !codec.omits(value) {
+                    fields.push((key.to_owned(), codec.write(value)));
+                }
+            }
+            Walk::Read(r) => {
+                if let Some(json) = r.next(key, required) {
+                    match codec.read(json, &|| r.child_path(key)) {
+                        Ok(v) => *value = v,
+                        Err(e) => r.error = Some(e),
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// A two-way encoding of one value type, the leaf of a field list.
+pub trait Codec {
+    /// The value the encoding describes.
+    type Value;
+
+    /// Encodes `value`. A writer walks a private copy of the document, so
+    /// an encoding may move out of `value` rather than copy it.
+    fn write(&self, value: &mut Self::Value) -> JsonValue;
+
+    /// Decodes `json`. `path` renders the value's dotted path; it is called
+    /// only to build an error.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`SpecError`] at `path()` for a value of the wrong shape.
+    fn read(&self, json: &JsonValue, path: &dyn Fn() -> String) -> Result<Self::Value, SpecError>;
+
+    /// Whether a writer leaves the key out for `value`.
+    fn omits(&self, _value: &Self::Value) -> bool {
+        false
+    }
+
+    /// This encoding, with a read failing with `message` unless `ok` holds.
+    fn check(self, ok: fn(&Self::Value) -> bool, message: &'static str) -> Check<Self>
+    where
+        Self: Sized,
+    {
+        Check::new(self, ok, message)
+    }
+}
+
+/// An object with a field list: a struct, or a tagged union.
+#[derive(Debug)]
+pub struct Obj<T: 'static> {
+    base: fn() -> T,
+    tags: Option<&'static Tags<T>>,
+    fields: fn(&mut T, &mut Visitor<'_>),
+    check: fn(&T) -> Result<(), SpecError>,
+}
+
+impl<T> Obj<T> {
+    /// A struct read over the declared `base` value.
+    pub const fn new(base: fn() -> T, fields: fn(&mut T, &mut Visitor<'_>)) -> Self {
+        Obj {
+            base,
+            tags: None,
+            fields,
+            check: |_| Ok(()),
+        }
+    }
+
+    /// A tagged union: the tag first, then the variant's fields (see
+    /// [`Visitor::union`]).
+    pub const fn tagged(tags: &'static Tags<T>, fields: fn(&mut T, &mut Visitor<'_>)) -> Self {
+        Obj {
+            base: tags.variants[0].1,
+            tags: Some(tags),
+            fields,
+            check: |_| Ok(()),
+        }
+    }
+
+    /// Adds the cross-field validation a read value must pass. Its errors
+    /// carry a key relative to this object (empty for the object itself).
+    #[must_use]
+    pub const fn validated(self, check: fn(&T) -> Result<(), SpecError>) -> Self {
+        Obj { check, ..self }
+    }
+
+    /// Reads the document root.
+    ///
+    /// # Errors
+    ///
+    /// Returns the document's first [`SpecError`].
+    pub fn read_root(&self, doc: &JsonValue) -> Result<T, SpecError> {
+        self.read(doc, &|| "(root)".to_owned())
+    }
+
+    fn walk(&self, value: &mut T, walk: &mut Visitor<'_>) {
+        match self.tags {
+            Some(tags) => walk.union(tags, value, self.fields),
+            None => (self.fields)(value, walk),
+        }
+    }
+}
+
+impl<T> Codec for Obj<T> {
+    type Value = T;
+
+    fn write(&self, value: &mut T) -> JsonValue {
+        let mut walk = Visitor(Walk::Write(Vec::new()));
+        self.walk(value, &mut walk);
+        match walk.0 {
+            Walk::Write(fields) => JsonValue::Object(fields),
+            Walk::Read { .. } => unreachable!("a writer walk stays a writer"),
+        }
+    }
+
+    fn read(&self, json: &JsonValue, path: &dyn Fn() -> String) -> Result<T, SpecError> {
+        let mut value = (self.base)();
+        let mut walk = Visitor(Walk::Read(Reader::new(json, path())?));
+        self.walk(&mut value, &mut walk);
+        let Walk::Read(reader) = walk.0 else {
+            unreachable!("a reader walk stays a reader")
+        };
+        reader.finish((self.check)(&value))?;
+        Ok(value)
+    }
+}
+
+/// The tag table of a tagged union: the key the tag sits under, what a tag
+/// names (for errors), and each variant's tag with its declared base. A
+/// variant tagged `""` is the one an object without the tag key reads as.
+#[derive(Debug)]
+pub struct Tags<T: 'static> {
+    /// The key of the tag (`"kind"`, `"type"`).
+    pub key: &'static str,
+    /// What a tag names, for the unknown-tag error (`"workload kind"`).
+    pub what: &'static str,
+    /// Each variant's tag and the base value a reader fills in.
+    pub variants: &'static [Variant<T>],
+}
+
+/// One variant of a tagged union: its tag and its base value.
+pub type Variant<T> = (&'static str, fn() -> T);
+
+impl<T> Tags<T> {
+    fn base(&self, reader: &mut Reader<'_>) -> Result<T, SpecError> {
+        let json = reader.take(self.key);
+        let path = || reader.child_path(self.key);
+        let tag = match json {
+            Some(json) => Str.read_str(json, &path)?,
+            None => "",
+        };
+        match self.variants.iter().find(|(name, _)| *name == tag) {
+            Some((_, base)) => Ok(base()),
+            None if tag.is_empty() => Err(SpecError::new(path(), "missing required key")),
+            None => Err(unknown_name(self.what, tag, self.variants, &path)),
+        }
+    }
+
+    fn name(&self, value: &T) -> &'static str {
+        let variant = std::mem::discriminant(value);
+        self.variants
+            .iter()
+            .find(|(_, base)| std::mem::discriminant(&base()) == variant)
+            .map(|(name, _)| *name)
+            .expect("every variant is in its tag table")
+    }
+}
+
+fn unknown_name<V>(
+    what: &str,
+    name: &str,
+    table: &[(&str, V)],
+    path: &dyn Fn() -> String,
+) -> SpecError {
+    let names: Vec<&str> = table
+        .iter()
+        .map(|(n, _)| *n)
+        .filter(|n| !n.is_empty())
+        .collect();
+    SpecError::new(
+        path(),
+        format!("unknown {what} {name:?} ({})", names.join("|")),
+    )
+}
+
+/// A string naming one value of a fieldless enum: one table for both
+/// directions.
+#[derive(Debug)]
+pub struct Names<T: 'static> {
+    /// What a name names, for the unknown-name error (`"size class"`).
+    pub what: &'static str,
+    /// Each value's name.
+    pub table: &'static [(&'static str, T)],
+}
+
+impl<T: PartialEq + Copy> Codec for Names<T> {
+    type Value = T;
+
+    fn write(&self, value: &mut T) -> JsonValue {
+        let (name, _) = (self.table.iter().find(|(_, v)| v == value))
+            .expect("every value is in its name table");
+        JsonValue::Str((*name).to_owned())
+    }
+
+    fn read(&self, json: &JsonValue, path: &dyn Fn() -> String) -> Result<T, SpecError> {
+        let name = Str.read_str(json, path)?;
+        match self.table.iter().find(|(n, _)| *n == name) {
+            Some((_, value)) => Ok(*value),
+            None => Err(unknown_name(self.what, name, self.table, path)),
+        }
+    }
+}
+
+/// A string.
+#[derive(Debug, Clone, Copy)]
+pub struct Str;
+
+impl Str {
+    fn read_str<'j>(
+        self,
+        json: &'j JsonValue,
+        path: &dyn Fn() -> String,
+    ) -> Result<&'j str, SpecError> {
+        match json {
+            JsonValue::Str(s) => Ok(s),
+            other => Err(expected("a string", other, path)),
+        }
+    }
+}
+
+impl Codec for Str {
+    type Value = String;
+
+    fn write(&self, value: &mut String) -> JsonValue {
+        JsonValue::Str(std::mem::take(value))
+    }
+
+    fn read(&self, json: &JsonValue, path: &dyn Fn() -> String) -> Result<String, SpecError> {
+        self.read_str(json, path).map(str::to_owned)
+    }
+}
+
+/// A boolean.
+#[derive(Debug, Clone, Copy)]
+pub struct Bool;
+
+impl Codec for Bool {
+    type Value = bool;
+
+    fn write(&self, value: &mut bool) -> JsonValue {
+        JsonValue::Bool(*value)
+    }
+
+    fn read(&self, json: &JsonValue, path: &dyn Fn() -> String) -> Result<bool, SpecError> {
+        json.as_bool()
+            .ok_or_else(|| expected("a boolean", json, path))
+    }
+}
+
+/// A number; integers coerce.
+#[derive(Debug, Clone, Copy)]
+pub struct F64;
+
+impl Codec for F64 {
+    type Value = f64;
+
+    fn write(&self, value: &mut f64) -> JsonValue {
+        JsonValue::Num(*value)
+    }
+
+    fn read(&self, json: &JsonValue, path: &dyn Fn() -> String) -> Result<f64, SpecError> {
+        json.as_f64()
+            .ok_or_else(|| expected("a number", json, path))
+    }
+}
+
+/// An unsigned integer stored as `T`; see [`U64`], [`U32`] and [`USIZE`].
+#[derive(Debug, Clone, Copy)]
+pub struct Int<T>(std::marker::PhantomData<T>);
+
+/// A `u64`.
+pub const U64: Int<u64> = Int(std::marker::PhantomData);
+/// A `u32`.
+pub const U32: Int<u32> = Int(std::marker::PhantomData);
+/// A `usize`.
+pub const USIZE: Int<usize> = Int(std::marker::PhantomData);
+
+impl<T: Copy + TryFrom<u64>> Codec for Int<T>
+where
+    u64: TryFrom<T>,
+{
+    type Value = T;
+
+    fn write(&self, value: &mut T) -> JsonValue {
+        JsonValue::UInt(u64::try_from(*value).unwrap_or(u64::MAX))
+    }
+
+    fn read(&self, json: &JsonValue, path: &dyn Fn() -> String) -> Result<T, SpecError> {
+        let n = json
+            .as_u64()
+            .ok_or_else(|| expected("an unsigned integer", json, path))?;
+        T::try_from(n).map_err(|_| {
+            let bits = 8 * std::mem::size_of::<T>();
+            SpecError::new(path(), format!("must fit in {bits} bits"))
+        })
+    }
+}
+
+/// A value kept as `T` and encoded as its image under `inner`: a sim time
+/// as integer milliseconds, a series as its name and samples.
+#[derive(Debug)]
+pub struct Map<C: Codec, T> {
+    inner: C,
+    from: fn(C::Value) -> T,
+    to: fn(&T) -> C::Value,
+}
+
+impl<C: Codec, T> Map<C, T> {
+    /// `T` read through `from` and written through `to`.
+    pub const fn new(inner: C, from: fn(C::Value) -> T, to: fn(&T) -> C::Value) -> Self {
+        Map { inner, from, to }
+    }
+}
+
+impl<C: Codec, T> Codec for Map<C, T> {
+    type Value = T;
+
+    fn write(&self, value: &mut T) -> JsonValue {
+        self.inner.write(&mut (self.to)(value))
+    }
+
+    fn read(&self, json: &JsonValue, path: &dyn Fn() -> String) -> Result<T, SpecError> {
+        self.inner.read(json, path).map(self.from)
+    }
+}
+
+/// A sim time in integer milliseconds.
+pub const MILLIS: Map<Int<u64>, SimTime> = Map::new(U64, SimTime::from_millis, |t| t.as_millis());
+
+/// A JSON document kept as its canonical rendering.
+#[derive(Debug, Clone, Copy)]
+pub struct Raw;
+
+impl Codec for Raw {
+    type Value = String;
+
+    fn write(&self, value: &mut String) -> JsonValue {
+        JsonValue::Raw(std::mem::take(value))
+    }
+
+    fn read(&self, json: &JsonValue, _path: &dyn Fn() -> String) -> Result<String, SpecError> {
+        Ok(json.render())
+    }
+}
+
+/// An optional value, written as `null` when absent.
+#[derive(Debug, Clone, Copy)]
+pub struct Opt<C>(pub C);
+
+impl<C: Codec> Codec for Opt<C> {
+    type Value = Option<C::Value>;
+
+    fn write(&self, value: &mut Option<C::Value>) -> JsonValue {
+        value.as_mut().map_or(JsonValue::Null, |v| self.0.write(v))
+    }
+
+    fn read(&self, json: &JsonValue, path: &dyn Fn() -> String) -> Result<Self::Value, SpecError> {
+        match json {
+            JsonValue::Null => Ok(None),
+            json => self.0.read(json, path).map(Some),
+        }
+    }
+}
+
+/// A value whose key the writer leaves out while the predicate holds of it
+/// (an absent option, a `false` flag); a reader keeps the field's base
+/// value when the key is absent.
+#[derive(Debug, Clone, Copy)]
+pub struct OmitIf<C: Codec>(pub C, pub fn(&C::Value) -> bool);
+
+impl<C: Codec> Codec for OmitIf<C> {
+    type Value = C::Value;
+
+    fn write(&self, value: &mut C::Value) -> JsonValue {
+        self.0.write(value)
+    }
+
+    fn read(&self, json: &JsonValue, path: &dyn Fn() -> String) -> Result<C::Value, SpecError> {
+        self.0.read(json, path)
+    }
+
+    fn omits(&self, value: &C::Value) -> bool {
+        (self.1)(value)
+    }
+}
+
+/// An array of values.
+#[derive(Debug, Clone, Copy)]
+pub struct List<C>(pub C);
+
+impl<C: Codec> Codec for List<C> {
+    type Value = Vec<C::Value>;
+
+    fn write(&self, value: &mut Vec<C::Value>) -> JsonValue {
+        JsonValue::Array(value.iter_mut().map(|v| self.0.write(v)).collect())
+    }
+
+    fn read(&self, json: &JsonValue, path: &dyn Fn() -> String) -> Result<Self::Value, SpecError> {
+        let JsonValue::Array(items) = json else {
+            return Err(expected("an array", json, path));
+        };
+        (items.iter().enumerate())
+            .map(|(i, item)| self.0.read(item, &|| format!("{}[{i}]", path())))
+            .collect()
+    }
+}
+
+/// A two-element array.
+#[derive(Debug, Clone, Copy)]
+pub struct Pair<A, B>(pub A, pub B);
+
+impl<A: Codec, B: Codec> Codec for Pair<A, B> {
+    type Value = (A::Value, B::Value);
+
+    fn write(&self, value: &mut Self::Value) -> JsonValue {
+        JsonValue::Array(vec![self.0.write(&mut value.0), self.1.write(&mut value.1)])
+    }
+
+    fn read(&self, json: &JsonValue, path: &dyn Fn() -> String) -> Result<Self::Value, SpecError> {
+        match json {
+            JsonValue::Array(items) if items.len() == 2 => Ok((
+                self.0.read(&items[0], &|| format!("{}[0]", path()))?,
+                self.1.read(&items[1], &|| format!("{}[1]", path()))?,
+            )),
+            other => Err(expected("a two-element array", other, path)),
+        }
+    }
+}
+
+/// A codec whose reads must also satisfy a predicate.
+#[derive(Debug, Clone, Copy)]
+pub struct Check<C: Codec> {
+    inner: C,
+    ok: fn(&C::Value) -> bool,
+    message: &'static str,
+}
+
+impl<C: Codec> Check<C> {
+    /// `inner`, with a read failing with `message` unless `ok` holds.
+    pub const fn new(inner: C, ok: fn(&C::Value) -> bool, message: &'static str) -> Self {
+        Check { inner, ok, message }
+    }
+}
+
+impl<C: Codec> Codec for Check<C> {
+    type Value = C::Value;
+
+    fn write(&self, value: &mut C::Value) -> JsonValue {
+        self.inner.write(value)
+    }
+
+    fn read(&self, json: &JsonValue, path: &dyn Fn() -> String) -> Result<C::Value, SpecError> {
+        let value = self.inner.read(json, path)?;
+        if (self.ok)(&value) {
+            Ok(value)
+        } else {
+            Err(SpecError::new(path(), self.message))
+        }
     }
 }
 
@@ -409,31 +816,80 @@ pub use simcore::fnv1a_64;
 mod tests {
     use super::*;
 
+    #[derive(Debug, Clone, PartialEq)]
+    struct Doc {
+        n: u64,
+        s: String,
+        f: f64,
+        opt: Option<u64>,
+        items: Vec<(u32, bool)>,
+    }
+
+    const DOC: Obj<Doc> = Obj::new(
+        || Doc {
+            n: 0,
+            s: String::new(),
+            f: 0.5,
+            opt: Some(3),
+            items: Vec::new(),
+        },
+        |d, v| {
+            v.required("n", U64, &mut d.n);
+            v.required("s", Str, &mut d.s);
+            v.field("f", F64, &mut d.f);
+            v.field("opt", OmitIf(Opt(U64), Option::is_none), &mut d.opt);
+            v.field("items", List(Pair(U32, Bool)), &mut d.items);
+        },
+    );
+
+    fn read(text: &str) -> Result<Doc, SpecError> {
+        DOC.read_root(&JsonValue::parse(text).unwrap())
+    }
+
     #[test]
     fn typed_accessors_and_paths() {
-        let doc = JsonValue::parse(r#"{"a":{"b":7,"s":"x","f":1.5,"n":null}}"#).unwrap();
-        let root = ObjectView::root(&doc).unwrap();
-        let a = root.obj("a").unwrap();
-        assert_eq!(a.path(), "a");
-        assert_eq!(a.u64("b").unwrap(), 7);
-        assert_eq!(a.string("s").unwrap(), "x");
-        assert!((a.f64("f").unwrap() - 1.5).abs() < 1e-12);
-        assert_eq!(a.opt_u64("n").unwrap(), None);
-        assert_eq!(a.opt_u64("missing").unwrap(), None);
-        let err = a.u64("s").unwrap_err();
-        assert_eq!(err.path, "a.s");
-        let err = a.required("zzz").unwrap_err();
-        assert_eq!(err.path, "a.zzz");
+        let doc = read(r#"{"n":7,"s":"x","opt":null,"items":[[1,true]]}"#).unwrap();
+        assert_eq!(doc.n, 7);
+        assert_eq!(doc.s, "x");
+        assert!((doc.f - 0.5).abs() < 1e-12, "absent keeps the base");
+        assert_eq!(doc.opt, Some(3), "null counts as absent");
+        assert_eq!(doc.items, vec![(1, true)]);
+        let err = read(r#"{"n":"7","s":"x"}"#).unwrap_err();
+        assert_eq!(err.path, "n");
+        let err = read(r#"{"n":7}"#).unwrap_err();
+        assert_eq!(err.path, "s");
         assert_eq!(err.message, "missing required key");
+        let err = read(r#"{"n":7,"s":"x","items":[[1,true],[2,3]]}"#).unwrap_err();
+        assert_eq!(err.path, "items[1][1]");
+        let err = read(r#"{"n":7,"s":"x","items":[[4294967296,true]]}"#).unwrap_err();
+        assert_eq!(err.to_string(), "`items[0][0]`: must fit in 32 bits");
+        // The writer emits every field in list order, leaving out what
+        // the list omits.
+        let mut doc = Doc { opt: None, ..doc };
+        let rendered = DOC.write(&mut doc.clone()).render();
+        assert_eq!(rendered, r#"{"n":7,"s":"x","f":0.5,"items":[[1,true]]}"#);
+        assert_eq!(
+            read(&rendered).unwrap(),
+            Doc {
+                opt: Some(3),
+                ..doc.clone()
+            }
+        );
+        doc.opt = Some(9);
+        assert!(DOC
+            .write(&mut doc)
+            .render()
+            .ends_with(r#""opt":9,"items":[[1,true]]}"#));
     }
 
     #[test]
     fn deny_unknown_names_the_stray_key() {
-        let doc = JsonValue::parse(r#"{"good":1,"tyop":2}"#).unwrap();
-        let root = ObjectView::root(&doc).unwrap();
-        let err = root.deny_unknown(&["good"]).unwrap_err();
+        // An unknown key wins over a bad value, wherever they sit.
+        let err = read(r#"{"n":"bad","tyop":2,"s":"x"}"#).unwrap_err();
         assert_eq!(err.path, "tyop");
         assert_eq!(err.message, "unknown key");
+        let err = read(r#"{"n":1,"s":"x","n":2}"#).unwrap_err();
+        assert_eq!(err.to_string(), "`n`: repeated key");
     }
 
     #[test]

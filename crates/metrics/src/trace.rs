@@ -13,189 +13,272 @@ use cluster::{MachineId, SlotKind};
 use hadoop_sim::trace::Observer;
 use hadoop_sim::{DecisionCandidate, PowerState, SimEvent};
 use simcore::SimTime;
-use workload::{JobId, TaskId, TaskIndex};
+use workload::JobId;
 
-use crate::emit::{object, JsonValue, ToJson};
-use crate::spec::snippet;
+use crate::emit::{JsonValue, NO_TASK, SLOT_KINDS, TASK};
+use crate::spec::{
+    snippet, Bool, Codec, List, Names, Obj, Opt, Str, Tags, Visitor, F64, MILLIS, U32, U64, USIZE,
+};
 
-impl ToJson for PowerState {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::Str(power_state_tag(*self).to_owned())
-    }
-}
+const POWER_STATES: Names<PowerState> = Names {
+    what: "power state",
+    table: &[
+        ("nominal", PowerState::Nominal),
+        ("eco", PowerState::Eco),
+        ("standby", PowerState::Standby),
+        ("waking", PowerState::Waking),
+    ],
+};
 
-fn power_state_tag(state: PowerState) -> &'static str {
-    match state {
-        PowerState::Nominal => "nominal",
-        PowerState::Eco => "eco",
-        PowerState::Standby => "standby",
-        PowerState::Waking => "waking",
-    }
-}
-
-impl ToJson for SimEvent {
-    /// The payload object, without the `at`/`type` envelope (see
-    /// [`trace_line`] for the full line).
-    fn to_json(&self) -> JsonValue {
-        match self {
-            SimEvent::JobSubmitted { job, tasks } => object([
-                ("job", job.to_json()),
-                ("tasks", JsonValue::UInt(u64::from(*tasks))),
-            ]),
-            SimEvent::JobCompleted { job } => object([("job", job.to_json())]),
-            SimEvent::TaskStarted {
-                task,
-                machine,
-                speculative,
-            } => object([
-                ("task", task.to_json()),
-                ("machine", machine.to_json()),
-                ("speculative", JsonValue::Bool(*speculative)),
-            ]),
-            SimEvent::TaskCompleted {
-                task,
-                machine,
-                won,
-                straggled,
-                speculative,
-            } => object([
-                ("task", task.to_json()),
-                ("machine", machine.to_json()),
-                ("won", JsonValue::Bool(*won)),
-                ("straggled", JsonValue::Bool(*straggled)),
-                ("speculative", JsonValue::Bool(*speculative)),
-            ]),
-            SimEvent::HeartbeatDrained {
-                machine,
-                free_map,
-                free_reduce,
-                pending_total,
-            } => object([
-                ("machine", machine.to_json()),
-                ("free_map", JsonValue::UInt(u64::from(*free_map))),
-                ("free_reduce", JsonValue::UInt(u64::from(*free_reduce))),
-                ("pending_total", JsonValue::UInt(*pending_total)),
-            ]),
+/// Every event type under its `type` tag, with the base a reader fills in.
+const EVENTS: Tags<SimEvent> = Tags {
+    key: "type",
+    what: "event type",
+    variants: &[
+        ("job_submitted", || SimEvent::JobSubmitted {
+            job: JobId(0),
+            tasks: 0,
+        }),
+        ("job_completed", || SimEvent::JobCompleted { job: JobId(0) }),
+        ("task_started", || SimEvent::TaskStarted {
+            task: NO_TASK,
+            machine: MachineId(0),
+            speculative: false,
+        }),
+        ("task_completed", || SimEvent::TaskCompleted {
+            task: NO_TASK,
+            machine: MachineId(0),
+            won: false,
+            straggled: false,
+            speculative: false,
+        }),
+        ("heartbeat_drained", || SimEvent::HeartbeatDrained {
+            machine: MachineId(0),
+            free_map: 0,
+            free_reduce: 0,
+            pending_total: 0,
+        }),
+        ("slot_occupancy_changed", || {
             SimEvent::SlotOccupancyChanged {
-                machine,
-                kind,
-                occupied,
-                capacity,
-            } => object([
-                ("machine", machine.to_json()),
-                ("kind", kind.to_json()),
-                ("occupied", JsonValue::UInt(u64::from(*occupied))),
-                ("capacity", JsonValue::UInt(u64::from(*capacity))),
-            ]),
-            SimEvent::PowerStateChanged { machine, state } => {
-                object([("machine", machine.to_json()), ("state", state.to_json())])
+                machine: MachineId(0),
+                kind: SlotKind::Map,
+                occupied: 0,
+                capacity: 0,
             }
-            SimEvent::SpeculationLaunched { task, machine } => {
-                object([("task", task.to_json()), ("machine", machine.to_json())])
-            }
+        }),
+        ("power_state_changed", || SimEvent::PowerStateChanged {
+            machine: MachineId(0),
+            state: PowerState::Nominal,
+        }),
+        ("speculation_launched", || SimEvent::SpeculationLaunched {
+            task: NO_TASK,
+            machine: MachineId(0),
+        }),
+        ("control_interval_fired", || {
             SimEvent::ControlIntervalFired {
-                index,
-                cumulative_energy_joules,
-            } => object([
-                ("index", JsonValue::UInt(*index)),
-                (
-                    "cumulative_energy_joules",
-                    JsonValue::Num(*cumulative_energy_joules),
-                ),
-            ]),
-            SimEvent::PheromoneUpdated { job, overlap } => object([
-                ("job", job.to_json()),
-                ("overlap", overlap.map_or(JsonValue::Null, JsonValue::Num)),
-            ]),
-            SimEvent::EnergyModelRefit {
-                profile,
-                idle_watts,
-                alpha_watts,
-            } => object([
-                ("profile", JsonValue::Str(profile.clone())),
-                ("idle_watts", JsonValue::Num(*idle_watts)),
-                ("alpha_watts", JsonValue::Num(*alpha_watts)),
-            ]),
-            SimEvent::TaskFailed {
-                task,
-                machine,
-                crash,
-            } => object([
-                ("task", task.to_json()),
-                ("machine", machine.to_json()),
-                ("crash", JsonValue::Bool(*crash)),
-            ]),
-            SimEvent::MachineFailed {
-                machine,
-                attempts_lost,
-            } => object([
-                ("machine", machine.to_json()),
-                ("attempts_lost", JsonValue::UInt(u64::from(*attempts_lost))),
-            ]),
-            SimEvent::MapOutputLost { task, machine } => {
-                object([("task", task.to_json()), ("machine", machine.to_json())])
+                index: 0,
+                cumulative_energy_joules: 0.0,
             }
-            SimEvent::MachineRecovered { machine } => object([("machine", machine.to_json())]),
-            SimEvent::MachineBlacklisted { machine, failures } => object([
-                ("machine", machine.to_json()),
-                ("failures", JsonValue::UInt(u64::from(*failures))),
-            ]),
-            SimEvent::AssignmentDecision {
-                machine,
-                kind,
-                chosen,
-                candidates,
-            } => object([
-                ("machine", machine.to_json()),
-                ("kind", kind.to_json()),
-                ("chosen", chosen.to_json()),
-                (
-                    "candidates",
-                    JsonValue::Array(candidates.iter().map(candidate_json).collect()),
-                ),
-            ]),
-            SimEvent::RunFinished {
-                drained,
-                total_energy_joules,
-                total_tasks,
-            } => object([
-                ("drained", JsonValue::Bool(*drained)),
-                ("total_energy_joules", JsonValue::Num(*total_energy_joules)),
-                ("total_tasks", JsonValue::UInt(*total_tasks)),
-            ]),
+        }),
+        ("pheromone_updated", || SimEvent::PheromoneUpdated {
+            job: JobId(0),
+            overlap: None,
+        }),
+        ("energy_model_refit", || SimEvent::EnergyModelRefit {
+            profile: String::new(),
+            idle_watts: 0.0,
+            alpha_watts: 0.0,
+        }),
+        ("task_failed", || SimEvent::TaskFailed {
+            task: NO_TASK,
+            machine: MachineId(0),
+            crash: false,
+        }),
+        ("machine_failed", || SimEvent::MachineFailed {
+            machine: MachineId(0),
+            attempts_lost: 0,
+        }),
+        ("map_output_lost", || SimEvent::MapOutputLost {
+            task: NO_TASK,
+            machine: MachineId(0),
+        }),
+        ("machine_recovered", || SimEvent::MachineRecovered {
+            machine: MachineId(0),
+        }),
+        ("machine_blacklisted", || SimEvent::MachineBlacklisted {
+            machine: MachineId(0),
+            failures: 0,
+        }),
+        ("assignment_decision", || SimEvent::AssignmentDecision {
+            machine: MachineId(0),
+            kind: SlotKind::Map,
+            chosen: JobId(0),
+            candidates: Vec::new(),
+        }),
+        ("run_finished", || SimEvent::RunFinished {
+            drained: false,
+            total_energy_joules: 0.0,
+            total_tasks: 0,
+        }),
+    ],
+};
+
+/// One trace line: `{"at":<millis>,"type":"<kind>",...payload}`.
+const LINE: Obj<(SimTime, SimEvent)> = Obj::new(
+    || (SimTime::ZERO, SimEvent::JobCompleted { job: JobId(0) }),
+    |(at, event), v| {
+        v.required("at", MILLIS, at);
+        v.union(&EVENTS, event, event_fields);
+    },
+);
+
+const CANDIDATE: Obj<DecisionCandidate> = Obj::new(
+    || DecisionCandidate {
+        job: JobId(0),
+        local: false,
+        tau: None,
+        eta_fairness: None,
+        eta_locality: None,
+        probability: 0.0,
+    },
+    |c, v| {
+        v.required("job", U64, &mut c.job.0);
+        v.required("local", Bool, &mut c.local);
+        v.field("tau", Opt(F64), &mut c.tau);
+        v.field("eta_fairness", Opt(F64), &mut c.eta_fairness);
+        v.field("eta_locality", Opt(F64), &mut c.eta_locality);
+        v.required("probability", F64, &mut c.probability);
+    },
+);
+
+fn event_fields(event: &mut SimEvent, v: &mut Visitor<'_>) {
+    match event {
+        SimEvent::JobSubmitted { job, tasks } => {
+            v.required("job", U64, &mut job.0);
+            v.required("tasks", U32, tasks);
+        }
+        SimEvent::JobCompleted { job } => v.required("job", U64, &mut job.0),
+        SimEvent::TaskStarted {
+            task,
+            machine,
+            speculative,
+        } => {
+            v.required("task", TASK, task);
+            v.required("machine", USIZE, &mut machine.0);
+            v.required("speculative", Bool, speculative);
+        }
+        SimEvent::TaskCompleted {
+            task,
+            machine,
+            won,
+            straggled,
+            speculative,
+        } => {
+            v.required("task", TASK, task);
+            v.required("machine", USIZE, &mut machine.0);
+            v.required("won", Bool, won);
+            v.required("straggled", Bool, straggled);
+            v.required("speculative", Bool, speculative);
+        }
+        SimEvent::HeartbeatDrained {
+            machine,
+            free_map,
+            free_reduce,
+            pending_total,
+        } => {
+            v.required("machine", USIZE, &mut machine.0);
+            v.required("free_map", U32, free_map);
+            v.required("free_reduce", U32, free_reduce);
+            v.required("pending_total", U64, pending_total);
+        }
+        SimEvent::SlotOccupancyChanged {
+            machine,
+            kind,
+            occupied,
+            capacity,
+        } => {
+            v.required("machine", USIZE, &mut machine.0);
+            v.required("kind", SLOT_KINDS, kind);
+            v.required("occupied", U32, occupied);
+            v.required("capacity", U32, capacity);
+        }
+        SimEvent::PowerStateChanged { machine, state } => {
+            v.required("machine", USIZE, &mut machine.0);
+            v.required("state", POWER_STATES, state);
+        }
+        SimEvent::SpeculationLaunched { task, machine }
+        | SimEvent::MapOutputLost { task, machine } => {
+            v.required("task", TASK, task);
+            v.required("machine", USIZE, &mut machine.0);
+        }
+        SimEvent::ControlIntervalFired {
+            index,
+            cumulative_energy_joules,
+        } => {
+            v.required("index", U64, index);
+            v.required("cumulative_energy_joules", F64, cumulative_energy_joules);
+        }
+        SimEvent::PheromoneUpdated { job, overlap } => {
+            v.required("job", U64, &mut job.0);
+            v.field("overlap", Opt(F64), overlap);
+        }
+        SimEvent::EnergyModelRefit {
+            profile,
+            idle_watts,
+            alpha_watts,
+        } => {
+            v.required("profile", Str, profile);
+            v.required("idle_watts", F64, idle_watts);
+            v.required("alpha_watts", F64, alpha_watts);
+        }
+        SimEvent::TaskFailed {
+            task,
+            machine,
+            crash,
+        } => {
+            v.required("task", TASK, task);
+            v.required("machine", USIZE, &mut machine.0);
+            v.required("crash", Bool, crash);
+        }
+        SimEvent::MachineFailed {
+            machine,
+            attempts_lost,
+        } => {
+            v.required("machine", USIZE, &mut machine.0);
+            v.required("attempts_lost", U32, attempts_lost);
+        }
+        SimEvent::MachineRecovered { machine } => v.required("machine", USIZE, &mut machine.0),
+        SimEvent::MachineBlacklisted { machine, failures } => {
+            v.required("machine", USIZE, &mut machine.0);
+            v.required("failures", U32, failures);
+        }
+        SimEvent::AssignmentDecision {
+            machine,
+            kind,
+            chosen,
+            candidates,
+        } => {
+            v.required("machine", USIZE, &mut machine.0);
+            v.required("kind", SLOT_KINDS, kind);
+            v.required("chosen", U64, &mut chosen.0);
+            v.required("candidates", List(CANDIDATE), candidates);
+        }
+        SimEvent::RunFinished {
+            drained,
+            total_energy_joules,
+            total_tasks,
+        } => {
+            v.required("drained", Bool, drained);
+            v.required("total_energy_joules", F64, total_energy_joules);
+            v.required("total_tasks", U64, total_tasks);
         }
     }
-}
-
-fn candidate_json(c: &DecisionCandidate) -> JsonValue {
-    object([
-        ("job", c.job.to_json()),
-        ("local", JsonValue::Bool(c.local)),
-        ("tau", c.tau.map_or(JsonValue::Null, JsonValue::Num)),
-        (
-            "eta_fairness",
-            c.eta_fairness.map_or(JsonValue::Null, JsonValue::Num),
-        ),
-        (
-            "eta_locality",
-            c.eta_locality.map_or(JsonValue::Null, JsonValue::Num),
-        ),
-        ("probability", JsonValue::Num(c.probability)),
-    ])
 }
 
 /// Renders one canonical trace line (no trailing newline):
 /// `{"at":<millis>,"type":"<kind>",...payload}`.
 pub fn trace_line(at: SimTime, event: &SimEvent) -> String {
-    let mut fields = vec![
-        ("at".to_owned(), at.to_json()),
-        ("type".to_owned(), JsonValue::Str(event.kind().to_owned())),
-    ];
-    match event.to_json() {
-        JsonValue::Object(payload) => fields.extend(payload),
-        other => fields.push(("payload".to_owned(), other)),
-    }
-    JsonValue::Object(fields).render()
+    LINE.write(&mut (at, event.clone())).render()
 }
 
 /// Parses one trace line back into its timestamp and event — the inverse of
@@ -203,202 +286,11 @@ pub fn trace_line(at: SimTime, event: &SimEvent) -> String {
 ///
 /// # Errors
 ///
-/// Returns a message naming the missing or mistyped field (or the JSON
-/// syntax error) on malformed lines.
+/// Returns the JSON syntax error, or a message naming the dotted path of
+/// the missing, mistyped or unknown field (`` `candidates[0].tau`: … ``).
 pub fn parse_trace_line(line: &str) -> Result<(SimTime, SimEvent), String> {
     let doc = JsonValue::parse(line)?;
-    let at = SimTime::from_millis(field_u64(&doc, "at")?);
-    let kind = doc
-        .get("type")
-        .and_then(JsonValue::as_str)
-        .ok_or("missing \"type\"")?;
-    let event = match kind {
-        "job_submitted" => SimEvent::JobSubmitted {
-            job: field_job(&doc, "job")?,
-            tasks: field_u32(&doc, "tasks")?,
-        },
-        "job_completed" => SimEvent::JobCompleted {
-            job: field_job(&doc, "job")?,
-        },
-        "task_started" => SimEvent::TaskStarted {
-            task: field_task(&doc, "task")?,
-            machine: field_machine(&doc, "machine")?,
-            speculative: field_bool(&doc, "speculative")?,
-        },
-        "task_completed" => SimEvent::TaskCompleted {
-            task: field_task(&doc, "task")?,
-            machine: field_machine(&doc, "machine")?,
-            won: field_bool(&doc, "won")?,
-            straggled: field_bool(&doc, "straggled")?,
-            speculative: field_bool(&doc, "speculative")?,
-        },
-        "heartbeat_drained" => SimEvent::HeartbeatDrained {
-            machine: field_machine(&doc, "machine")?,
-            free_map: field_u32(&doc, "free_map")?,
-            free_reduce: field_u32(&doc, "free_reduce")?,
-            pending_total: field_u64(&doc, "pending_total")?,
-        },
-        "slot_occupancy_changed" => SimEvent::SlotOccupancyChanged {
-            machine: field_machine(&doc, "machine")?,
-            kind: field_slot_kind(&doc, "kind")?,
-            occupied: field_u32(&doc, "occupied")?,
-            capacity: field_u32(&doc, "capacity")?,
-        },
-        "power_state_changed" => SimEvent::PowerStateChanged {
-            machine: field_machine(&doc, "machine")?,
-            state: field_power_state(&doc, "state")?,
-        },
-        "speculation_launched" => SimEvent::SpeculationLaunched {
-            task: field_task(&doc, "task")?,
-            machine: field_machine(&doc, "machine")?,
-        },
-        "control_interval_fired" => SimEvent::ControlIntervalFired {
-            index: field_u64(&doc, "index")?,
-            cumulative_energy_joules: field_f64(&doc, "cumulative_energy_joules")?,
-        },
-        "pheromone_updated" => SimEvent::PheromoneUpdated {
-            job: field_job(&doc, "job")?,
-            overlap: match doc.get("overlap") {
-                None | Some(JsonValue::Null) => None,
-                Some(v) => Some(v.as_f64().ok_or("mistyped \"overlap\"")?),
-            },
-        },
-        "energy_model_refit" => SimEvent::EnergyModelRefit {
-            profile: doc
-                .get("profile")
-                .and_then(JsonValue::as_str)
-                .ok_or("missing \"profile\"")?
-                .to_owned(),
-            idle_watts: field_f64(&doc, "idle_watts")?,
-            alpha_watts: field_f64(&doc, "alpha_watts")?,
-        },
-        "task_failed" => SimEvent::TaskFailed {
-            task: field_task(&doc, "task")?,
-            machine: field_machine(&doc, "machine")?,
-            crash: field_bool(&doc, "crash")?,
-        },
-        "machine_failed" => SimEvent::MachineFailed {
-            machine: field_machine(&doc, "machine")?,
-            attempts_lost: field_u32(&doc, "attempts_lost")?,
-        },
-        "map_output_lost" => SimEvent::MapOutputLost {
-            task: field_task(&doc, "task")?,
-            machine: field_machine(&doc, "machine")?,
-        },
-        "machine_recovered" => SimEvent::MachineRecovered {
-            machine: field_machine(&doc, "machine")?,
-        },
-        "machine_blacklisted" => SimEvent::MachineBlacklisted {
-            machine: field_machine(&doc, "machine")?,
-            failures: field_u32(&doc, "failures")?,
-        },
-        "assignment_decision" => SimEvent::AssignmentDecision {
-            machine: field_machine(&doc, "machine")?,
-            kind: field_slot_kind(&doc, "kind")?,
-            chosen: field_job(&doc, "chosen")?,
-            candidates: field_candidates(&doc, "candidates")?,
-        },
-        "run_finished" => SimEvent::RunFinished {
-            drained: field_bool(&doc, "drained")?,
-            total_energy_joules: field_f64(&doc, "total_energy_joules")?,
-            total_tasks: field_u64(&doc, "total_tasks")?,
-        },
-        other => return Err(format!("unknown event type {other:?}")),
-    };
-    Ok((at, event))
-}
-
-fn field_u64(doc: &JsonValue, key: &str) -> Result<u64, String> {
-    doc.get(key)
-        .and_then(JsonValue::as_u64)
-        .ok_or_else(|| format!("missing or mistyped {key:?}"))
-}
-
-fn field_u32(doc: &JsonValue, key: &str) -> Result<u32, String> {
-    u32::try_from(field_u64(doc, key)?).map_err(|_| format!("{key:?} out of range"))
-}
-
-fn field_f64(doc: &JsonValue, key: &str) -> Result<f64, String> {
-    doc.get(key)
-        .and_then(JsonValue::as_f64)
-        .ok_or_else(|| format!("missing or mistyped {key:?}"))
-}
-
-fn field_bool(doc: &JsonValue, key: &str) -> Result<bool, String> {
-    doc.get(key)
-        .and_then(JsonValue::as_bool)
-        .ok_or_else(|| format!("missing or mistyped {key:?}"))
-}
-
-fn field_job(doc: &JsonValue, key: &str) -> Result<JobId, String> {
-    field_u64(doc, key).map(JobId)
-}
-
-fn field_machine(doc: &JsonValue, key: &str) -> Result<MachineId, String> {
-    let n = field_u64(doc, key)?;
-    usize::try_from(n)
-        .map(MachineId)
-        .map_err(|_| format!("{key:?} out of range"))
-}
-
-fn field_slot_kind(doc: &JsonValue, key: &str) -> Result<SlotKind, String> {
-    match doc.get(key).and_then(JsonValue::as_str) {
-        Some("map") => Ok(SlotKind::Map),
-        Some("reduce") => Ok(SlotKind::Reduce),
-        _ => Err(format!("missing or mistyped {key:?}")),
-    }
-}
-
-fn field_power_state(doc: &JsonValue, key: &str) -> Result<PowerState, String> {
-    match doc.get(key).and_then(JsonValue::as_str) {
-        Some("nominal") => Ok(PowerState::Nominal),
-        Some("eco") => Ok(PowerState::Eco),
-        Some("standby") => Ok(PowerState::Standby),
-        Some("waking") => Ok(PowerState::Waking),
-        _ => Err(format!("missing or mistyped {key:?}")),
-    }
-}
-
-fn field_opt_f64(doc: &JsonValue, key: &str) -> Result<Option<f64>, String> {
-    match doc.get(key) {
-        None | Some(JsonValue::Null) => Ok(None),
-        Some(v) => v
-            .as_f64()
-            .map(Some)
-            .ok_or_else(|| format!("mistyped {key:?}")),
-    }
-}
-
-fn field_candidates(doc: &JsonValue, key: &str) -> Result<Vec<DecisionCandidate>, String> {
-    let Some(JsonValue::Array(items)) = doc.get(key) else {
-        return Err(format!("missing or mistyped {key:?}"));
-    };
-    items
-        .iter()
-        .enumerate()
-        .map(|(i, item)| {
-            let ctx = |e: String| format!("candidate {i}: {e}");
-            Ok(DecisionCandidate {
-                job: field_job(item, "job").map_err(ctx)?,
-                local: field_bool(item, "local").map_err(ctx)?,
-                tau: field_opt_f64(item, "tau").map_err(ctx)?,
-                eta_fairness: field_opt_f64(item, "eta_fairness").map_err(ctx)?,
-                eta_locality: field_opt_f64(item, "eta_locality").map_err(ctx)?,
-                probability: field_f64(item, "probability").map_err(ctx)?,
-            })
-        })
-        .collect()
-}
-
-fn field_task(doc: &JsonValue, key: &str) -> Result<TaskId, String> {
-    let obj = doc.get(key).ok_or_else(|| format!("missing {key:?}"))?;
-    Ok(TaskId {
-        job: field_job(obj, "job")?,
-        task: TaskIndex {
-            kind: field_slot_kind(obj, "kind")?,
-            index: field_u32(obj, "index")?,
-        },
-    })
+    LINE.read_root(&doc).map_err(|e| e.to_string())
 }
 
 /// An [`Observer`] that appends one canonical JSONL line per event to a
@@ -494,6 +386,7 @@ pub fn read_trace_lines<R: io::BufRead>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use workload::{TaskId, TaskIndex};
 
     fn sample_events() -> Vec<SimEvent> {
         let task = TaskId {
@@ -681,6 +574,35 @@ mod tests {
     }
 
     #[test]
+    fn field_errors_name_the_dotted_path() {
+        for (line, expect) in [
+            (
+                r#"{"at":1,"type":"job_completed","job":0,"jbo":1}"#,
+                "`jbo`: unknown key",
+            ),
+            (
+                r#"{"at":1,"type":"task_failed","task":{"job":0,"kind":"map","index":0,"try":1},"machine":0,"crash":false}"#,
+                "`task.try`: unknown key",
+            ),
+            (
+                r#"{"at":1,"type":"assignment_decision","machine":0,"kind":"map","chosen":0,"candidates":[{"job":0,"local":true,"tau":"x","probability":1}]}"#,
+                "`candidates[0].tau`: expected a number, found a string",
+            ),
+            (
+                r#"{"at":1,"type":"task_started","task":{"job":0,"kind":"walk","index":0},"machine":0,"speculative":false}"#,
+                "`task.kind`: unknown slot kind \"walk\" (map|reduce)",
+            ),
+            (
+                r#"{"at":1,"type":"job_submitted","job":0,"tasks":4294967296}"#,
+                "`tasks`: must fit in 32 bits",
+            ),
+        ] {
+            let err = parse_trace_line(line).unwrap_err();
+            assert_eq!(err, expect, "{line}");
+        }
+    }
+
+    #[test]
     fn reader_pinpoints_malformed_and_truncated_lines() {
         let good = trace_line(
             SimTime::from_secs(1),
@@ -692,7 +614,7 @@ mod tests {
         let err = read_trace_lines(io::Cursor::new(text)).unwrap_err();
         assert!(err.starts_with("line 3:"), "wrong location: {err}");
         assert!(
-            err.contains("\"job\"") && err.contains("offending line:"),
+            err.contains("`job`: missing required key") && err.contains("offending line:"),
             "unhelpful error: {err}"
         );
 
