@@ -716,6 +716,22 @@ mod tests {
     }
 
     #[test]
+    fn out_of_range_numbers_are_rejected_naming_the_line() {
+        // Read as infinity, such a number would be saved as `null`, which
+        // the next load rejects.
+        let text = db(vec![
+            record("alpha", "Fair", 1, 2.0e6),
+            record("beta", "Fair", 1, 3.0e6),
+        ])
+        .render();
+        let huge = text.replacen("\"energy_joules\":3000000", "\"energy_joules\":1e999", 1);
+        assert!(huge.contains("1e999"), "{huge}");
+        let err = RunDb::parse(&huge).unwrap_err();
+        assert!(err.starts_with("line 2: number out of range"), "{err}");
+        assert!(err.contains("offending line:"), "{err}");
+    }
+
+    #[test]
     fn malformed_lines_name_the_line() {
         let err = RunDb::parse("{\"key\": \"x\"}\n").unwrap_err();
         assert!(err.starts_with("line 1: "), "{err}");

@@ -1306,7 +1306,7 @@ mod tests {
             .intervals
             .iter()
             .flat_map(|s| s.assignments.values())
-            .flat_map(|row| row.iter().map(|&(_, n)| n))
+            .flat_map(|row| row.iter().map(|cell| u64::from(cell.starts)))
             .sum();
         assert_eq!(assigned, r.total_tasks);
         // Energy series is nondecreasing.

@@ -73,7 +73,8 @@ pub use engine::Engine;
 pub use job_state::{JobPhase, PendingMaps};
 pub use report::{TaskReport, UtilizationSample};
 pub use result::{
-    fold_starts, IntervalSnapshot, JobOutcome, MachineOutcome, RunResult, ServiceStats, StartLog,
+    fold_starts, Assignments, IntervalSnapshot, JobOutcome, MachineOutcome, RunResult,
+    ServiceStats, StartCell, StartLog,
 };
 pub use scheduler::{generic_candidates, ClusterQuery, GreedyScheduler, Scheduler};
 pub use task_arena::{TaskArena, MAX_ATTEMPTS};

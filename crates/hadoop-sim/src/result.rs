@@ -1,6 +1,7 @@
 //! Run results: the raw material of every figure in the evaluation.
 
 use std::collections::BTreeMap;
+use std::fmt;
 
 use simcore::series::TimeSeries;
 use simcore::{SimDuration, SimTime};
@@ -79,10 +80,143 @@ pub struct IntervalSnapshot {
     pub at: SimTime,
     /// Cumulative fleet energy at the end of the interval, in joules.
     pub cumulative_energy_joules: f64,
-    /// Fresh (non-speculative) task starts during this interval, per job:
-    /// `(machine, starts)` for each machine with at least one start, in
-    /// ascending machine order (see [`fold_starts`]).
-    pub assignments: BTreeMap<JobId, Vec<(MachineId, u64)>>,
+    /// Fresh (non-speculative) task starts during this interval, per job
+    /// and machine (see [`fold_starts`]).
+    pub assignments: Assignments,
+}
+
+/// One machine's fresh task starts in a row of [`Assignments`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StartCell {
+    /// Machine index.
+    pub machine: u32,
+    /// Fresh task starts on that machine.
+    pub starts: u32,
+}
+
+/// One interval's fresh task starts as a packed job × machine matrix.
+///
+/// It holds a row per job that started a task, in ascending job order,
+/// and in each row a [`StartCell`] per machine with a start, in ascending
+/// machine order. The rows are `(job, end)` pairs over one flat cell
+/// array, where a row's cells end at `end` and begin where the previous
+/// row's end. A cell costs 8 bytes and a row 8 more, and both arrays are
+/// boxed at their exact length.
+///
+/// # Examples
+///
+/// ```
+/// use cluster::MachineId;
+/// use hadoop_sim::{Assignments, StartCell};
+/// use workload::JobId;
+///
+/// let matrix: Assignments = [
+///     (JobId(7), vec![(MachineId(0), 2), (MachineId(5), 1)]),
+///     (JobId(3), vec![(MachineId(4), 1)]),
+/// ]
+/// .into_iter()
+/// .collect();
+/// assert_eq!(matrix.len(), 2);
+/// let cell = StartCell { machine: 4, starts: 1 };
+/// assert_eq!(matrix.get(JobId(3)), Some(&[cell][..]));
+/// assert_eq!(matrix.get(JobId(4)), None);
+/// let jobs: Vec<JobId> = matrix.iter().map(|(job, _)| job).collect();
+/// assert_eq!(jobs, [JobId(3), JobId(7)]);
+/// let starts: u32 = matrix.values().flatten().map(|c| c.starts).sum();
+/// assert_eq!(starts, 4);
+/// ```
+#[derive(Clone, Default, PartialEq, Eq)]
+pub struct Assignments {
+    rows: Box<[(u32, u32)]>,
+    cells: Box<[StartCell]>,
+}
+
+impl Assignments {
+    /// Number of rows, one per job.
+    pub fn len(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// Whether the matrix has no row.
+    pub fn is_empty(&self) -> bool {
+        self.rows.is_empty()
+    }
+
+    /// The rows in ascending job order.
+    pub fn iter(&self) -> impl Iterator<Item = (JobId, &[StartCell])> + '_ {
+        let mut start = 0;
+        self.rows.iter().map(move |&(job, end)| {
+            let row = &self.cells[start..end as usize];
+            start = end as usize;
+            (JobId(u64::from(job)), row)
+        })
+    }
+
+    /// The rows' cells in ascending job order.
+    pub fn values(&self) -> impl Iterator<Item = &[StartCell]> + '_ {
+        self.iter().map(|(_, row)| row)
+    }
+
+    /// The row of `job`, if it started a task.
+    pub fn get(&self, job: JobId) -> Option<&[StartCell]> {
+        let job = u32::try_from(job.0).ok()?;
+        let at = self.rows.binary_search_by_key(&job, |&(j, _)| j).ok()?;
+        let start = at.checked_sub(1).map_or(0, |prev| self.rows[prev].1);
+        Some(&self.cells[start as usize..self.rows[at].1 as usize])
+    }
+}
+
+impl fmt::Debug for Assignments {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_map().entries(self.iter()).finish()
+    }
+}
+
+/// Builds a matrix from `(job, cells)` rows given in any job order, each
+/// row's `(machine, starts)` cells in ascending machine order.
+///
+/// # Panics
+///
+/// Panics if a job appears twice, if a row's machines do not ascend, or
+/// if a job id, machine index, count or the number of cells does not fit
+/// in 32 bits.
+impl<R: IntoIterator<Item = (MachineId, u64)>> FromIterator<(JobId, R)> for Assignments {
+    fn from_iter<I: IntoIterator<Item = (JobId, R)>>(iter: I) -> Self {
+        let fit = |n: u64, what: &str| {
+            u32::try_from(n).unwrap_or_else(|_| panic!("{what} {n} does not fit in 32 bits"))
+        };
+        let mut rows: Vec<(u32, Vec<StartCell>)> = iter
+            .into_iter()
+            .map(|(job, row)| {
+                let cells = row.into_iter().map(|(machine, starts)| StartCell {
+                    machine: fit(machine.index() as u64, "machine"),
+                    starts: fit(starts, "count"),
+                });
+                (fit(job.0, "job"), cells.collect())
+            })
+            .collect();
+        rows.sort_by_key(|&(job, _)| job);
+        assert!(
+            rows.windows(2).all(|pair| pair[0].0 < pair[1].0),
+            "a job appears twice"
+        );
+        let mut cells = Vec::new();
+        let rows = rows
+            .into_iter()
+            .map(|(job, row)| {
+                assert!(
+                    row.windows(2).all(|pair| pair[0].machine < pair[1].machine),
+                    "the machines of job {job}'s row do not ascend"
+                );
+                cells.extend(row);
+                (job, fit(cells.len() as u64, "cell count"))
+            })
+            .collect();
+        Assignments {
+            rows,
+            cells: cells.into(),
+        }
+    }
 }
 
 /// One interval's fresh task starts, in any order: a `(job, machine)` pair
@@ -130,15 +264,20 @@ impl StartLog {
     }
 }
 
-/// Folds one interval's [`StartLog`] into [`IntervalSnapshot::assignments`]
-/// rows, each allocated at its exact length, and empties the log (keeping
-/// its capacity for the next interval).
+/// Folds one interval's [`StartLog`] into its [`Assignments`], counting
+/// the rows and cells first so each array is allocated once at its exact
+/// length, and empties the log (keeping its capacity for the next
+/// interval).
+///
+/// # Panics
+///
+/// Panics if the log holds 2^32 starts or more.
 ///
 /// # Examples
 ///
 /// ```
 /// use cluster::MachineId;
-/// use hadoop_sim::{fold_starts, StartLog};
+/// use hadoop_sim::{fold_starts, StartCell, StartLog};
 /// use workload::JobId;
 ///
 /// let mut log = StartLog::default();
@@ -146,24 +285,35 @@ impl StartLog {
 ///     log.push(JobId(job), MachineId(machine)).unwrap();
 /// }
 /// let rows = fold_starts(&mut log);
-/// assert_eq!(rows[&JobId(0)], vec![(MachineId(2), 1)]);
-/// assert_eq!(rows[&JobId(1)], vec![(MachineId(0), 1), (MachineId(4), 2)]);
+/// let cell = |machine, starts| StartCell { machine, starts };
+/// assert_eq!(rows.get(JobId(0)), Some(&[cell(2, 1)][..]));
+/// assert_eq!(rows.get(JobId(1)), Some(&[cell(0, 1), cell(4, 2)][..]));
 /// assert!(log.is_empty());
 /// ```
-pub fn fold_starts(starts: &mut StartLog) -> BTreeMap<JobId, Vec<(MachineId, u64)>> {
+pub fn fold_starts(starts: &mut StartLog) -> Assignments {
     let log = &mut starts.0;
     log.sort_unstable();
-    let rows = log
-        .chunk_by(|a, b| a.0 == b.0)
-        .map(|job_starts| {
-            let runs = || job_starts.chunk_by(|a, b| a == b);
-            let mut row = Vec::with_capacity(runs().count());
-            row.extend(runs().map(|run| (MachineId(run[0].1 as usize), run.len() as u64)));
-            (JobId(u64::from(job_starts[0].0)), row)
-        })
-        .collect();
+    let fit = |n: usize| u32::try_from(n).expect("a start log holds fewer than 2^32 starts");
+    let runs = || log.chunk_by(|a, b| a == b);
+    let mut rows: Vec<(u32, u32)> = Vec::with_capacity(log.chunk_by(|a, b| a.0 == b.0).count());
+    let mut cells = Vec::with_capacity(runs().count());
+    for run in runs() {
+        let (job, machine) = run[0];
+        cells.push(StartCell {
+            machine,
+            starts: fit(run.len()),
+        });
+        let end = fit(cells.len());
+        match rows.last_mut() {
+            Some(row) if row.0 == job => row.1 = end,
+            _ => rows.push((job, end)),
+        }
+    }
     log.clear();
-    rows
+    Assignments {
+        rows: rows.into_boxed_slice(),
+        cells: cells.into_boxed_slice(),
+    }
 }
 
 /// Steady-state service metrics of a horizon-bounded run.

@@ -432,9 +432,15 @@ impl Parser<'_> {
                 return Ok(JsonValue::UInt(n));
             }
         }
-        text.parse::<f64>()
-            .map(JsonValue::Num)
-            .map_err(|_| format!("invalid number at byte {start}"))
+        let n = text
+            .parse::<f64>()
+            .map_err(|_| format!("invalid number at byte {start}"))?;
+        // A non-finite number would render as `null`, which no longer reads
+        // back as a number.
+        if !n.is_finite() {
+            return Err(format!("number out of range at byte {start}"));
+        }
+        Ok(JsonValue::Num(n))
     }
 }
 
@@ -782,26 +788,25 @@ pub fn run_result_json(run: &RunResult) -> String {
 ///
 /// # Panics
 ///
-/// Panics if a row is not in ascending machine order or names a machine
-/// outside the fleet.
+/// Panics if a row names a machine outside the fleet.
 fn write_interval(out: &mut String, snap: &IntervalSnapshot, machines: usize) {
     let mut obj = Fields::open(out);
     snap.at.to_json().write(obj.key("at"));
     JsonValue::Num(snap.cumulative_energy_joules).write(obj.key("cumulative_energy_joules"));
     let mut rows = Fields::open(obj.key("assignments"));
-    for (job, row) in &snap.assignments {
+    for (job, row) in snap.assignments.iter() {
         let mut cells = row.iter().peekable();
         let dense = (0..machines).map(|m| {
             cells
-                .next_if(|(machine, _)| machine.index() == m)
-                .map_or(0, |&(_, n)| n)
+                .next_if(|cell| cell.machine as usize == m)
+                .map_or(0, |cell| cell.starts)
         });
         write_array(rows.key(&job.0.to_string()), dense, |out, n| {
-            JsonValue::UInt(n).write(out);
+            JsonValue::UInt(u64::from(n)).write(out);
         });
         assert!(
             cells.next().is_none(),
-            "assignment row of job {job} is unsorted or outside the {machines}-machine fleet"
+            "assignment row of job {job} is outside the {machines}-machine fleet"
         );
     }
     rows.close();
@@ -984,9 +989,15 @@ mod tests {
             "1 2",
             "\"\u{1}\"",
             "nan",
+            "1e999",
+            "-1e999",
         ] {
             assert!(JsonValue::parse(doc).is_err(), "accepted {doc:?}");
         }
+        assert_eq!(
+            JsonValue::parse("[1,-1e999]").unwrap_err(),
+            "number out of range at byte 3"
+        );
     }
 
     #[test]

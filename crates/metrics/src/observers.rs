@@ -367,6 +367,7 @@ impl Observer<SimEvent> for StreamingRunStats {
 mod tests {
     use super::*;
     use cluster::{MachineId, SlotKind};
+    use hadoop_sim::StartCell;
     use workload::{TaskId, TaskIndex};
 
     fn task(job: u64, index: u32) -> TaskId {
@@ -435,9 +436,13 @@ mod tests {
         // One full interval with the assignment, no partial (nothing
         // assigned after the control tick).
         assert_eq!(s.intervals().len(), 1);
+        let cell = StartCell {
+            machine: 1,
+            starts: 1,
+        };
         assert_eq!(
-            s.intervals()[0].assignments[&JobId(0)],
-            vec![(MachineId(1), 1)]
+            s.intervals()[0].assignments.get(JobId(0)),
+            Some(&[cell][..])
         );
     }
 

@@ -29,8 +29,9 @@ use experiments::scenario::{library_dir, load_spec};
 /// and deposits stored per machine column, 16-byte feedback records and
 /// 32-bit replica ids it peaks at 1.67 MB. Freeing a job's replicas once
 /// its last map starts, folding each interval row at its exact length and
-/// logging a start in 8 bytes brings it to 1.35 MB.
-const PEAK_BOUND: isize = 1_450_000;
+/// logging a start in 8 bytes brings it to 1.35 MB, and packing each
+/// interval's assignment matrix into 8-byte cells to 1.32 MB.
+const PEAK_BOUND: isize = 1_340_000;
 
 #[test]
 fn scale_1000_fast_cell_peak_heap_is_bounded() {

@@ -15,7 +15,10 @@ use cluster::MachineId;
 use eant::EAntConfig;
 use experiments::common::{Scenario, SchedulerKind};
 use hadoop_sim::trace::SharedObserver;
-use hadoop_sim::{DvfsConfig, IntervalSnapshot, PowerDownConfig, RunResult, SpeculationPolicy};
+use hadoop_sim::{
+    Assignments, DvfsConfig, IntervalSnapshot, PowerDownConfig, RunResult, SpeculationPolicy,
+    StartCell,
+};
 use metrics::emit::{object, run_result_json, JsonValue, ToJson};
 use metrics::spec::fnv1a_64;
 use metrics::trace::{parse_trace_line, JsonlTraceSink};
@@ -511,10 +514,10 @@ fn fig8_scenario_file_reproduces_hardcoded_grid() {
 /// must match it byte for byte.
 fn oracle_json(run: &RunResult) -> JsonValue {
     let uint = JsonValue::UInt;
-    let dense = |row: &[(MachineId, u64)]| {
+    let dense = |row: &[StartCell]| {
         let mut counts = vec![0; run.machines.len()];
-        for &(machine, n) in row {
-            counts[machine.index()] = n;
+        for cell in row {
+            counts[cell.machine as usize] = u64::from(cell.starts);
         }
         JsonValue::Array(counts.into_iter().map(uint).collect())
     };
@@ -585,6 +588,8 @@ fn streamed_run_json_matches_tree_oracle() {
     use workload::{JobId, SizeClass};
 
     let awkward = "q\"b\\s\nn\r\tt\u{1}\u{1f}é\u{1f600}/";
+    // The largest job id and start count an interval row packs.
+    let top = JobId(u64::from(u32::MAX));
     let mut series = TimeSeries::new(awkward);
     series.record(SimTime::ZERO, 0.0);
     series.record(SimTime::from_millis(1500), f64::NAN);
@@ -629,17 +634,19 @@ fn streamed_run_json_matches_tree_oracle() {
             IntervalSnapshot {
                 at: SimTime::from_secs(60),
                 cumulative_energy_joules: f64::NAN,
-                assignments: BTreeMap::new(),
+                assignments: Assignments::default(),
             },
             IntervalSnapshot {
                 at: SimTime::from_secs(120),
                 cumulative_energy_joules: 12.5,
-                assignments: BTreeMap::from([
+                assignments: [
                     (JobId(3), vec![(MachineId(0), 1), (MachineId(2), 2)]),
                     (JobId(10), vec![]),
                     (JobId(11), vec![(MachineId(2), 7)]),
-                    (JobId(u64::MAX), vec![(MachineId(0), u64::MAX)]),
-                ]),
+                    (top, vec![(MachineId(0), top.0)]),
+                ]
+                .into_iter()
+                .collect(),
             },
         ],
         energy_series: series,

@@ -292,26 +292,47 @@ fn arena_task_state_matches_per_task_oracle() {
 
 /// [`hadoop_sim::fold_starts`] keeps exactly the nonzero cells of the dense
 /// per-job, per-machine count rows the engine used to accumulate, in
-/// ascending machine order, each row allocated at its exact length, and a
-/// result built from the sparse rows renders byte for byte as the dense
-/// rows did. Random fleets and packed start logs cover repeated pairs, the
-/// first and last machine, many jobs, a log reused across intervals and
-/// intervals with no start at all.
+/// ascending job and machine order, packed at 8 bytes a cell into boxed
+/// arrays of exact length; `iter`, `values` and `get` read them back, and
+/// a result built from the packed rows renders byte for byte as the dense
+/// rows did. Random fleets and start logs cover repeated pairs, the first
+/// and last machine, many jobs, job and machine ids at the top of the
+/// 32-bit range, a log reused across intervals and intervals with no start
+/// at all.
 #[test]
 fn interval_rows_match_dense_oracle() {
-    use hadoop_sim::{fold_starts, IntervalSnapshot, MachineOutcome, RunResult, StartLog};
+    use std::mem::size_of;
+
+    use hadoop_sim::{
+        fold_starts, Assignments, IntervalSnapshot, MachineOutcome, RunResult, StartCell, StartLog,
+    };
     use metrics::emit::{run_result_json, JsonValue, ToJson};
     use simcore::series::TimeSeries;
     use simcore::SimDuration;
 
+    assert_eq!(
+        size_of::<StartCell>(),
+        8,
+        "a cell is a packed machine and count"
+    );
+    // Two boxed slices and no spare capacity: each array is exactly as
+    // long as its rows or cells.
+    assert_eq!(size_of::<Assignments>(), 4 * size_of::<usize>());
+
     check("interval_rows_match_dense_oracle", 128, |rng| {
         let machines = rng.uniform_u64(1, 40) as usize;
         let jobs = rng.uniform_u64(1, 60);
-        // Half the cases use the top of the 32-bit job range the log packs.
+        // Half the cases use the top of the 32-bit job range the log
+        // packs, and half, independently, the top of the machine range.
         let first_job = if rng.chance(0.5) {
             0
         } else {
             u64::from(u32::MAX) + 1 - jobs
+        };
+        let first_machine = if rng.chance(0.5) {
+            0
+        } else {
+            u32::MAX as usize + 1 - machines
         };
         let mut log = StartLog::default();
         let mut intervals = Vec::new();
@@ -322,17 +343,19 @@ fn interval_rows_match_dense_oracle() {
             } else {
                 rng.uniform_u64(1, 300)
             };
-            // The oracle: the dense row accumulation the engine replaced.
+            // The oracle: the dense row accumulation the engine replaced,
+            // indexed by machine offset from `first_machine`.
             let mut dense: BTreeMap<JobId, Vec<u64>> = BTreeMap::new();
             for _ in 0..starts {
                 let job = JobId(first_job + rng.uniform_u64(0, jobs - 1));
-                let machine = MachineId(match rng.uniform_u64(0, 3) {
+                let offset = match rng.uniform_u64(0, 3) {
                     0 => 0,
                     1 => machines - 1,
                     _ => rng.uniform_u64(0, machines as u64 - 1) as usize,
-                });
-                log.push(job, machine).expect("small ids fit the log");
-                dense.entry(job).or_insert_with(|| vec![0; machines])[machine.index()] += 1;
+                };
+                log.push(job, MachineId(first_machine + offset))
+                    .expect("32-bit ids fit the log");
+                dense.entry(job).or_insert_with(|| vec![0; machines])[offset] += 1;
             }
             // An id beyond 32 bits is refused and logs nothing.
             let logged = log.len();
@@ -341,21 +364,45 @@ fn interval_rows_match_dense_oracle() {
             assert_eq!(log.len(), logged);
             let rows = fold_starts(&mut log);
             assert!(log.is_empty(), "the fold must empty the start log");
-            for (job, row) in &rows {
-                assert_eq!(
-                    row.capacity(),
-                    row.len(),
-                    "interval {i}, {job}: row is not exact"
-                );
-            }
-            let want: BTreeMap<JobId, Vec<(MachineId, u64)>> = dense
+
+            let want: Vec<(JobId, Vec<StartCell>)> = dense
                 .iter()
                 .map(|(&job, row)| {
                     let cells = row.iter().enumerate().filter(|&(_, &n)| n > 0);
-                    (job, cells.map(|(m, &n)| (MachineId(m), n)).collect())
+                    let cells = cells.map(|(offset, &n)| StartCell {
+                        machine: (first_machine + offset) as u32,
+                        starts: n as u32,
+                    });
+                    (job, cells.collect())
                 })
                 .collect();
-            assert_eq!(rows, want, "interval {i}");
+            let got: Vec<(JobId, Vec<StartCell>)> =
+                rows.iter().map(|(job, row)| (job, row.to_vec())).collect();
+            assert_eq!(got, want, "interval {i}");
+            assert_eq!(rows.len(), want.len(), "interval {i}");
+            assert_eq!(rows.is_empty(), want.is_empty(), "interval {i}");
+            let values: Vec<&[StartCell]> = rows.values().collect();
+            let want_values: Vec<&[StartCell]> = want.iter().map(|(_, row)| &row[..]).collect();
+            assert_eq!(values, want_values, "interval {i}");
+            for (job, row) in &want {
+                assert_eq!(rows.get(*job), Some(&row[..]), "interval {i}, {job}");
+            }
+            for job in [first_job + jobs, 1 << 32, u64::MAX] {
+                if !dense.contains_key(&JobId(job)) {
+                    assert_eq!(rows.get(JobId(job)), None, "interval {i}, job {job}");
+                }
+            }
+            let collected: Assignments = dense
+                .iter()
+                .map(|(&job, row)| {
+                    let cells = row.iter().enumerate().filter(|&(_, &n)| n > 0);
+                    (
+                        job,
+                        cells.map(|(offset, &n)| (MachineId(first_machine + offset), n)),
+                    )
+                })
+                .collect();
+            assert_eq!(collected, rows, "interval {i}: collect and fold disagree");
 
             let at = SimTime::from_secs(300 * (i + 1));
             let energy = rng.uniform_range(0.0, 1.0e9);
@@ -377,6 +424,11 @@ fn interval_rows_match_dense_oracle() {
                 cumulative_energy_joules: energy,
                 assignments: rows,
             });
+        }
+        // A dense row has one count per machine of the fleet, so only a
+        // fleet that starts at machine 0 renders.
+        if first_machine != 0 {
+            return;
         }
         let run = RunResult {
             scheduler: "oracle".into(),
@@ -1857,7 +1909,13 @@ fn run_db_parse_survives_byte_mutation() {
             .as_bytes()
             .to_vec();
         mutate(rng, &mut bytes);
-        let _ = RunDb::parse(&String::from_utf8_lossy(&bytes));
+        // A DB that loads must also save and load again unchanged.
+        if let Ok(db) = RunDb::parse(&String::from_utf8_lossy(&bytes)) {
+            let saved = db.render();
+            let reloaded = RunDb::parse(&saved)
+                .unwrap_or_else(|e| panic!("a loaded DB does not reload after a save: {e}"));
+            assert_eq!(reloaded.records, db.records, "saved as {saved}");
+        }
     });
 }
 
