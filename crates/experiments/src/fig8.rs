@@ -91,8 +91,17 @@ mod tests {
 
     #[test]
     fn all_panels_render() {
-        assert!(fig8a(true).contains("TOTAL"));
-        assert!(fig8b(true).contains("T420"));
-        assert!(fig8c(true).contains("Fair"));
+        let (a, b, c) = (fig8a(true), fig8b(true), fig8c(true));
+        assert!(a.contains("TOTAL"));
+        assert!(b.contains("T420"));
+        assert!(c.contains("Fair"));
+        for (id, out, pinned) in [
+            ("fig8a", &a, 0x546e1cfec36ef76f),
+            ("fig8b", &b, 0xed30c9f6d84ad48d),
+            ("fig8c", &c, 0x8fb172b0143a58b5),
+        ] {
+            let digest = metrics::spec::fnv1a_64(out.as_bytes());
+            assert_eq!(digest, pinned, "{id} --fast output moved: {digest:#018x}");
+        }
     }
 }

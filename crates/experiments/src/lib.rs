@@ -119,7 +119,7 @@ pub fn run_experiment(id: &str, fast: bool) -> Result<String, String> {
         "ext_powerdown" => Ok(extensions::powerdown(fast)),
         "ext_speculation" => Ok(extensions::speculation(fast)),
         "ext_dvfs" => Ok(extensions::dvfs(fast)),
-        "faults" => Ok(faults::run(fast)),
+        "faults" => Ok(faults::run(fast).0),
         "timeline" => Ok(timeline::run(fast)),
         other => Err(format!(
             "unknown experiment '{other}'; known: {}",

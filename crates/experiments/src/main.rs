@@ -258,6 +258,18 @@ fn cmd_explain(args: &[String]) -> ExitCode {
     }
 }
 
+/// Runs the fault sweep and writes its per-run metrics to
+/// `faults-sweep.json` in the working directory (the CI artifact); the
+/// report says whether the write succeeded.
+fn write_fault_sweep(fast: bool) -> String {
+    let (report, doc) = experiments::faults::run(fast);
+    let path = "faults-sweep.json";
+    match std::fs::write(path, doc.render() + "\n") {
+        Ok(()) => format!("{report}wrote per-run metrics to {path}\n"),
+        Err(e) => format!("{report}could not write {path}: {e}\n"),
+    }
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
@@ -343,6 +355,10 @@ fn main() -> ExitCode {
     };
 
     for id in selected {
+        if id == "faults" {
+            println!("{}", write_fault_sweep(fast));
+            continue;
+        }
         match experiments::run_experiment(id, fast) {
             Ok(report) => println!("{report}"),
             Err(err) => return fail(&err),
