@@ -1,16 +1,17 @@
-//! Shared experiment machinery: scheduler factory, MSD scenarios, runs.
+//! Shared experiment machinery: scheduler factory, worker pool, run
+//! merging and the cached Fig. 8 / Fig. 9 comparison.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use baselines::{FairScheduler, FifoScheduler, TarazuScheduler};
-use cluster::Fleet;
 use eant::{EAntConfig, EAntScheduler};
-use hadoop_sim::{Engine, EngineConfig, RunResult, Scheduler};
-use simcore::{SimRng, SimTime};
-use workload::msd::MsdConfig;
+use hadoop_sim::{Engine, RunResult, Scheduler};
+use simcore::SimTime;
 use workload::{JobId, JobSpec};
+
+use crate::scenario::{msd_spec, run_grid, ScenarioSpec};
 
 /// Which scheduler a run uses.
 #[derive(Debug, Clone, PartialEq)]
@@ -44,103 +45,6 @@ impl SchedulerKind {
             SchedulerKind::Tarazu => "Tarazu",
             SchedulerKind::EAnt(_) => "E-Ant",
         }
-    }
-}
-
-/// A complete experiment scenario: fleet, workload and engine settings.
-#[derive(Debug, Clone)]
-pub struct Scenario {
-    /// Root seed shared by workload generation and the engine.
-    pub seed: u64,
-    /// MSD generator configuration.
-    pub msd: MsdConfig,
-    /// Engine configuration.
-    pub engine: EngineConfig,
-}
-
-impl Scenario {
-    /// The paper-scale scenario: 87 MSD jobs on the 16-node fleet with
-    /// system noise. The submission window is set for the same job
-    /// concurrency density as the validated fast scenario (~2.5 jobs/min),
-    /// which reproduces the paper's moderately loaded cluster; task counts
-    /// are scaled by 64 like the paper scaled its own workload down.
-    pub fn paper(seed: u64) -> Self {
-        Scenario {
-            seed,
-            msd: MsdConfig {
-                task_scale: 64,
-                num_jobs: 87,
-                submission_window: simcore::SimDuration::from_mins(35),
-            },
-            engine: EngineConfig::default(),
-        }
-    }
-
-    /// A reduced scenario for fast runs: fewer jobs at the same cluster
-    /// load level.
-    pub fn fast(seed: u64) -> Self {
-        Scenario {
-            seed,
-            msd: MsdConfig {
-                num_jobs: 30,
-                task_scale: 64,
-                submission_window: simcore::SimDuration::from_mins(12),
-            },
-            engine: EngineConfig::default(),
-        }
-    }
-
-    /// Picks paper or fast scale.
-    pub fn sized(fast: bool, seed: u64) -> Self {
-        if fast {
-            Scenario::fast(seed)
-        } else {
-            Scenario::paper(seed)
-        }
-    }
-
-    /// Generates this scenario's job mix.
-    pub fn jobs(&self) -> Vec<JobSpec> {
-        self.msd
-            .generate(&mut SimRng::seed_from(self.seed).fork("msd"))
-    }
-
-    /// Runs the MSD workload on the paper fleet under `scheduler`.
-    pub fn run(&self, scheduler: &SchedulerKind) -> RunResult {
-        self.run_on(Fleet::paper_evaluation(), scheduler)
-    }
-
-    /// Runs the MSD workload on an explicit fleet.
-    pub fn run_on(&self, fleet: Fleet, scheduler: &SchedulerKind) -> RunResult {
-        self.run_observed_on(fleet, scheduler, |_, _| {})
-    }
-
-    /// Runs the MSD workload on the paper fleet with observers: `configure`
-    /// receives the engine and scheduler just before the run starts, the
-    /// hook where event-stream observers are attached (see
-    /// `hadoop_sim::trace`).
-    pub fn run_observed(
-        &self,
-        scheduler: &SchedulerKind,
-        configure: impl FnOnce(&mut Engine, &mut dyn Scheduler),
-    ) -> RunResult {
-        self.run_observed_on(Fleet::paper_evaluation(), scheduler, configure)
-    }
-
-    /// Runs the MSD workload on an explicit fleet with observers.
-    pub fn run_observed_on(
-        &self,
-        fleet: Fleet,
-        scheduler: &SchedulerKind,
-        configure: impl FnOnce(&mut Engine, &mut dyn Scheduler),
-    ) -> RunResult {
-        let mut engine = Engine::new(fleet, self.engine.clone(), self.seed);
-        engine.submit_jobs(self.jobs());
-        let mut sched = scheduler.make(self.seed);
-        configure(&mut engine, sched.as_mut());
-        let mut result = engine.run(sched.as_mut());
-        result.scheduler = sched.name().to_owned();
-        result
     }
 }
 
@@ -277,38 +181,22 @@ pub fn merge_runs(mut runs: Vec<RunResult>) -> RunResult {
     base
 }
 
-/// Seeds used for the repeated headline comparison.
-pub const COMPARISON_SEEDS: [u64; 5] = [2015, 7, 99, 42, 1234];
-
 /// The three-way comparison every Fig. 8 / Fig. 9 panel draws from: the
-/// same MSD workloads under Fair, Tarazu and E-Ant, averaged over
-/// [`COMPARISON_SEEDS`]. Cached per scale so `experiments all` computes it
-/// once.
+/// [`msd_spec`] grid (Fair, Tarazu and E-Ant over its five seeds), each
+/// scheduler's runs merged. Cached per scale so `experiments all` computes
+/// it once.
 pub fn msd_comparison(fast: bool) -> Arc<Vec<RunResult>> {
     static CACHE: OnceLock<Mutex<HashMap<bool, Arc<Vec<RunResult>>>>> = OnceLock::new();
     let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
     if let Some(hit) = cache.lock().expect("cache lock").get(&fast) {
         return Arc::clone(hit);
     }
-    // All (scheduler × seed) runs are independent: fan them out.
-    let kinds = [
-        SchedulerKind::Fair,
-        SchedulerKind::Tarazu,
-        SchedulerKind::EAnt(EAntConfig::paper_default()),
-    ];
-    let tasks: Vec<_> = kinds
+    let spec = msd_spec();
+    let mut flat = run_grid(spec, fast);
+    let runs: Vec<RunResult> = spec
+        .schedulers
         .iter()
-        .flat_map(|kind| {
-            COMPARISON_SEEDS.iter().map(move |&seed| {
-                let kind = kind.clone();
-                move || Scenario::sized(fast, seed).run(&kind)
-            })
-        })
-        .collect();
-    let mut flat = parallel_runs(tasks);
-    let runs: Vec<RunResult> = kinds
-        .iter()
-        .map(|_| merge_runs(flat.drain(..COMPARISON_SEEDS.len()).collect()))
+        .map(|_| merge_runs(flat.drain(..spec.seeds.len()).collect()))
         .collect();
     let arc = Arc::new(runs);
     cache
@@ -318,29 +206,26 @@ pub fn msd_comparison(fast: bool) -> Arc<Vec<RunResult>> {
     arc
 }
 
-/// Standalone completion time of each job (seconds): every job is run
-/// alone on an idle copy of the fleet under FIFO — the "standalone
-/// execution time" of the paper's slowdown metric \[18\].
-pub fn standalone_times(scenario: &Scenario) -> BTreeMap<JobId, f64> {
+/// Standalone completion time of each job of `spec`'s workload at `seed`
+/// (seconds): every job is run alone on an idle copy of the fleet under
+/// FIFO — the "standalone execution time" of the paper's slowdown metric
+/// \[18\].
+pub fn standalone_times(spec: &ScenarioSpec, seed: u64, fast: bool) -> BTreeMap<JobId, f64> {
     let mut out = BTreeMap::new();
-    for spec in scenario.jobs() {
+    for job in spec.jobs(seed, fast) {
         let solo = JobSpec::new(
             JobId(0),
-            spec.benchmark().clone(),
-            spec.num_maps(),
-            spec.num_reduces(),
+            job.benchmark().clone(),
+            job.num_maps(),
+            job.num_reduces(),
             SimTime::ZERO,
         );
-        let mut engine = Engine::new(
-            Fleet::paper_evaluation(),
-            scenario.engine.clone(),
-            scenario.seed,
-        );
+        let mut engine = Engine::new(spec.build_fleet(), spec.engine.clone(), seed);
         engine.submit_jobs(vec![solo]);
         let mut fifo = FifoScheduler::new();
         let result = engine.run(&mut fifo);
         if let Some(ct) = result.jobs[0].completion_time() {
-            out.insert(spec.id(), ct.as_secs_f64());
+            out.insert(job.id(), ct.as_secs_f64());
         }
     }
     out
@@ -364,14 +249,14 @@ mod tests {
 
     #[test]
     fn fast_scenario_runs_all_schedulers() {
-        let scenario = Scenario::fast(1);
-        for kind in [
+        let kinds = vec![
             SchedulerKind::Fifo,
             SchedulerKind::Fair,
             SchedulerKind::Tarazu,
             SchedulerKind::EAnt(EAntConfig::paper_default()),
-        ] {
-            let r = scenario.run(&kind);
+        ];
+        let spec = crate::scenario::msd_grid(&[1], kinds.clone());
+        for (kind, r) in kinds.iter().zip(run_grid(&spec, true)) {
             assert!(r.drained, "{} failed to drain", kind.label());
             assert_eq!(r.scheduler, kind.label());
         }
@@ -379,7 +264,9 @@ mod tests {
 
     #[test]
     fn scenario_jobs_deterministic() {
-        let s = Scenario::fast(5);
-        assert_eq!(s.jobs(), s.jobs());
+        let spec = msd_spec();
+        assert_eq!(spec.jobs(5, true), spec.jobs(5, true));
+        assert_eq!(spec.jobs(5, true).len(), 30);
+        assert_eq!(spec.jobs(5, false).len(), 87);
     }
 }

@@ -4,10 +4,11 @@
 //! A scenario file describes a complete experiment — workload mix, fleet
 //! composition, engine/fault/power knobs, scheduler grid, seeds and
 //! regression tolerances — in canonical JSON (see [`ScenarioSpec`]). The
-//! committed library under `scenarios/` covers regimes the hard-coded
-//! figure modules don't: diurnal double-peak arrivals, deadline batches,
-//! multi-tenant mixes, rack-locality skew, fleet refresh and crash-heavy
-//! churn. The commands:
+//! committed library under `scenarios/` holds the paper's MSD grid
+//! (`fig8-msd.json`, which the figure drivers vary — see [`msd_spec`])
+//! and regimes the paper does not cover: diurnal double-peak arrivals,
+//! deadline batches, multi-tenant mixes, rack-locality skew, fleet refresh
+//! and crash-heavy churn. The commands:
 //!
 //! ```text
 //! experiments scenario run <file> [--fast] [--db <path>]
@@ -15,11 +16,11 @@
 //! experiments scenario compare <baseline> <candidate>
 //! ```
 //!
-//! `run`/`sweep` execute every (scheduler × seed) cell through the same
-//! engine pipeline as the figure modules and, with `--db`, upsert each
-//! result into a [`RunDb`]. `compare` diffs two databases and exits
-//! non-zero when any delta exceeds its scenario's tolerance — the CI
-//! energy/perf regression gate.
+//! `run`/`sweep` execute every (scheduler × seed) cell through
+//! [`ScenarioSpec::execute`], the run path of the figure drivers too, and,
+//! with `--db`, upsert each result into a [`RunDb`]. `compare` diffs two
+//! databases and exits non-zero when any delta exceeds its scenario's
+//! tolerance — the CI energy/perf regression gate.
 
 mod rundb;
 mod spec;
@@ -31,10 +32,12 @@ pub use spec::{
 
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
+use std::sync::OnceLock;
 
+use hadoop_sim::RunResult;
 use metrics::emit::{object, JsonValue};
 
-use crate::common::parallel_runs;
+use crate::common::{parallel_runs, SchedulerKind};
 use crate::slo::{run_monitored, MonitoredCell};
 
 /// The committed scenario library (`scenarios/` at the repository root).
@@ -55,25 +58,61 @@ pub fn load_spec(path: &Path) -> Result<ScenarioSpec, String> {
     ScenarioSpec::parse(&text).map_err(|e| format!("{}: {e}", path.display()))
 }
 
+/// The paper's MSD comparison (`scenarios/fig8-msd.json`: the 87-job and
+/// 30-job workloads, Fair / Tarazu / E-Ant, the five comparison seeds),
+/// embedded at build time and parsed once. Every MSD figure driver runs a
+/// variant of it, so those sizes and seeds live in that one file.
+///
+/// # Panics
+///
+/// Panics if the embedded file does not parse (a build-time defect).
+#[must_use]
+pub fn msd_spec() -> &'static ScenarioSpec {
+    static SPEC: OnceLock<ScenarioSpec> = OnceLock::new();
+    SPEC.get_or_init(|| {
+        ScenarioSpec::parse(include_str!("../../../../scenarios/fig8-msd.json"))
+            .unwrap_or_else(|e| panic!("scenarios/fig8-msd.json: {e}"))
+    })
+}
+
+/// [`msd_spec`] over other seeds and schedulers: the grid a figure driver
+/// runs before it overrides any engine knob.
+#[must_use]
+pub fn msd_grid(seeds: &[u64], schedulers: Vec<SchedulerKind>) -> ScenarioSpec {
+    ScenarioSpec {
+        seeds: seeds.to_vec(),
+        schedulers,
+        ..msd_spec().clone()
+    }
+}
+
 /// The (scheduler × seed) cell grid of a spec, scheduler-major.
-fn cell_grid(spec: &ScenarioSpec) -> Vec<(&crate::common::SchedulerKind, u64)> {
+fn cell_grid(spec: &ScenarioSpec) -> Vec<(&SchedulerKind, u64)> {
     spec.schedulers
         .iter()
         .flat_map(|kind| spec.seeds.iter().map(move |&seed| (kind, seed)))
         .collect()
 }
 
+/// Runs every (scheduler × seed) cell of `spec` on the worker pool and
+/// returns the results scheduler-major: the cells of
+/// `spec.schedulers[k]` are `k * seeds.len()..(k + 1) * seeds.len()`, in
+/// seed order.
+#[must_use]
+pub fn run_grid(spec: &ScenarioSpec, fast: bool) -> Vec<RunResult> {
+    let tasks: Vec<_> = cell_grid(spec)
+        .into_iter()
+        .map(|(kind, seed)| move || spec.execute(kind, seed, fast))
+        .collect();
+    parallel_runs(tasks)
+}
+
 /// Executes every (scheduler × seed) cell of `spec`, returning the report
 /// and the records (in scheduler-major order).
 #[must_use]
 pub fn execute_spec(spec: &ScenarioSpec, fast: bool) -> (String, Vec<RunRecord>) {
+    let results = run_grid(spec, fast);
     let cells = cell_grid(spec);
-    let tasks: Vec<_> = cells
-        .iter()
-        .map(|&(kind, seed)| move || spec.execute(kind, seed, fast))
-        .collect();
-    let results = parallel_runs(tasks);
-
     let records: Vec<RunRecord> = cells
         .iter()
         .zip(&results)

@@ -214,9 +214,8 @@ impl ScenarioSpec {
         }
     }
 
-    /// Generates the job mix for one run. MSD workloads draw from the same
-    /// `fork("msd")` stream as [`crate::common::Scenario::jobs`], so a spec
-    /// re-expressing a hard-coded experiment reproduces its bytes.
+    /// Generates the job mix for one run. MSD workloads draw from the
+    /// seed's `fork("msd")` stream, stream mixes from its `fork("mix")`.
     pub fn jobs(&self, seed: u64, fast: bool) -> Vec<JobSpec> {
         match self.workload_for(fast) {
             WorkloadSpec::Msd(cfg) => cfg.generate(&mut SimRng::seed_from(seed).fork("msd")),
@@ -258,39 +257,17 @@ impl ScenarioSpec {
 
     /// Runs one (scheduler, seed) cell of the scenario.
     pub fn execute(&self, kind: &SchedulerKind, seed: u64, fast: bool) -> RunResult {
-        self.execute_observed(kind, seed, fast, |_, _| {})
+        self.execute_scaled_observed(kind, seed, fast, 1.0, |_, _| {})
     }
 
-    /// Runs one cell with an observer hook — the same call sequence as
-    /// [`crate::common::Scenario::run_observed_on`], so traced and plain
-    /// runs agree byte for byte.
-    pub fn execute_observed(
-        &self,
-        kind: &SchedulerKind,
-        seed: u64,
-        fast: bool,
-        configure: impl FnOnce(&mut Engine, &mut dyn Scheduler),
-    ) -> RunResult {
-        self.execute_scaled_observed(kind, seed, fast, 1.0, configure)
-    }
-
-    /// Runs one cell of a serve scenario with its arrival intensity
-    /// multiplied by `rate_scale` — the utilization knob of the
-    /// `experiments serve` sweep. Non-serve scenarios ignore the scale
-    /// (their workloads are fixed job lists).
-    pub fn execute_scaled(
-        &self,
-        kind: &SchedulerKind,
-        seed: u64,
-        fast: bool,
-        rate_scale: f64,
-    ) -> RunResult {
-        self.execute_scaled_observed(kind, seed, fast, rate_scale, |_, _| {})
-    }
-
-    /// Runs one cell with both the utilization knob and an observer hook —
-    /// the most general execution path; every other `execute_*` variant
-    /// delegates here, so observed and plain runs agree byte for byte.
+    /// Runs one cell with an observer hook: `configure` receives the
+    /// engine and scheduler just before the run starts, which is where
+    /// event-stream observers attach (see `hadoop_sim::trace`). A serve
+    /// scenario's arrival intensity is multiplied by `rate_scale` — the
+    /// utilization knob of the `experiments serve` sweep; batch workloads
+    /// are fixed job lists and ignore it. [`ScenarioSpec::execute`] is this
+    /// call at scale 1 with no observers, so observed and plain runs agree
+    /// byte for byte.
     pub fn execute_scaled_observed(
         &self,
         kind: &SchedulerKind,
@@ -1061,32 +1038,6 @@ mod tests {
         let mut other = spec.clone();
         other.engine.reduce_slowstart = 0.5;
         assert_ne!(base, other.manifest_key(&kind, 11, true));
-    }
-
-    #[test]
-    fn execute_matches_hardcoded_scenario_path() {
-        // The spec path must reproduce common::Scenario byte-for-byte when
-        // it re-expresses the same run (the fig8 equivalence contract).
-        use crate::common::Scenario;
-        use metrics::emit::run_result_json;
-
-        let scenario = Scenario::fast(2015);
-        let spec = ScenarioSpec {
-            name: "fig8".into(),
-            description: String::new(),
-            seeds: vec![2015],
-            schedulers: vec![SchedulerKind::Fair],
-            workload: WorkloadSpec::Msd(scenario.msd.clone()),
-            fast_workload: None,
-            serve: None,
-            slo: None,
-            fleet: FleetSpec::Paper,
-            engine: scenario.engine.clone(),
-            tolerance: Tolerance::default(),
-        };
-        let via_spec = run_result_json(&spec.execute(&SchedulerKind::Fair, 2015, false));
-        let via_module = run_result_json(&scenario.run(&SchedulerKind::Fair));
-        assert_eq!(via_spec, via_module);
     }
 
     #[test]

@@ -81,7 +81,7 @@ pub fn run_monitored(
     let watchdog = slo.map(|cfg| SharedObserver::new(SloWatchdog::new(cfg)));
     let reg_handle = registry.clone();
     let wd_handle = watchdog.clone();
-    let result = traced.execute_observed(kind, seed, fast, move |engine, scheduler| {
+    let result = traced.execute_scaled_observed(kind, seed, fast, 1.0, move |engine, scheduler| {
         engine.attach_observer(Box::new(reg_handle.clone()));
         scheduler.attach_observer(Box::new(reg_handle));
         if let Some(wd) = wd_handle {

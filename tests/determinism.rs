@@ -11,23 +11,28 @@
 //!
 //! [`RunResult`]: hadoop_sim::RunResult
 
+use std::sync::OnceLock;
+
 use eant::EAntConfig;
-use experiments::common::{parallel_runs_with_workers, Scenario, SchedulerKind};
+use experiments::common::{parallel_runs_with_workers, SchedulerKind};
+use experiments::scenario::{msd_spec, ScenarioSpec, WorkloadSpec};
 use hadoop_sim::trace::{SharedObserver, VecRecorder};
 use hadoop_sim::{RunResult, TaskReport};
 use metrics::emit::{run_result_json, ToJson};
 use simcore::SimDuration;
 use workload::msd::MsdConfig;
 
-/// A deliberately small scenario so the 3-sweep matrix stays fast.
-fn small_scenario(seed: u64) -> Scenario {
-    let mut s = Scenario::fast(seed);
-    s.msd = MsdConfig {
-        num_jobs: 6,
-        task_scale: 32,
-        submission_window: SimDuration::from_mins(4),
-    };
-    s
+/// A deliberately small MSD scenario so the sweep matrix stays fast.
+fn small_spec() -> ScenarioSpec {
+    ScenarioSpec {
+        workload: WorkloadSpec::Msd(MsdConfig {
+            num_jobs: 6,
+            task_scale: 32,
+            submission_window: SimDuration::from_mins(4),
+        }),
+        fast_workload: None,
+        ..msd_spec().clone()
+    }
 }
 
 /// Runs the scenario with a streaming report recorder attached, returning
@@ -35,10 +40,14 @@ fn small_scenario(seed: u64) -> Scenario {
 /// cover per-task reports (the result carries no report buffer of its
 /// own). The recorder is built inside the call, keeping closures over this
 /// function `Send` for the worker pool.
-fn run_with_reports(scenario: &Scenario, kind: &SchedulerKind) -> (RunResult, Vec<TaskReport>) {
+fn run_with_reports(
+    spec: &ScenarioSpec,
+    kind: &SchedulerKind,
+    seed: u64,
+) -> (RunResult, Vec<TaskReport>) {
     let recorder: SharedObserver<VecRecorder<TaskReport>> = SharedObserver::new(VecRecorder::new());
     let handle = recorder.clone();
-    let result = scenario.run_observed(kind, move |engine, _| {
+    let result = spec.execute_scaled_observed(kind, seed, true, 1.0, move |engine, _| {
         engine.attach_report_observer(Box::new(handle));
     });
     let reports = recorder
@@ -76,7 +85,7 @@ fn sweep(workers: usize) -> Vec<String> {
         .flat_map(|kind| {
             seeds.iter().map(move |&seed| {
                 let kind = kind.clone();
-                move || run_with_reports(&small_scenario(seed), &kind)
+                move || run_with_reports(&small_spec(), &kind, seed)
             })
         })
         .collect();
@@ -86,15 +95,21 @@ fn sweep(workers: usize) -> Vec<String> {
         .collect()
 }
 
+/// A 1-worker sweep, then two consecutive 4-worker sweeps, run once and
+/// shared by the two tests below.
+fn sweeps() -> &'static [Vec<String>; 3] {
+    static SWEEPS: OnceLock<[Vec<String>; 3]> = OnceLock::new();
+    SWEEPS.get_or_init(|| [sweep(1), sweep(4), sweep(4)])
+}
+
 /// One worker and four workers must produce byte-identical results in the
 /// same order: the pool decides only *when* a task runs, never *what* it
 /// computes.
 #[test]
 fn sweep_is_thread_count_invariant() {
-    let single = sweep(1);
-    let multi = sweep(4);
+    let [single, multi, _] = sweeps();
     assert_eq!(single.len(), multi.len());
-    for (i, (a, b)) in single.iter().zip(&multi).enumerate() {
+    for (i, (a, b)) in single.iter().zip(multi).enumerate() {
         assert_eq!(a, b, "run {i} differs between 1-thread and 4-thread sweeps");
     }
 }
@@ -103,8 +118,7 @@ fn sweep_is_thread_count_invariant() {
 /// leaks between runs.
 #[test]
 fn consecutive_sweeps_agree() {
-    let first = sweep(2);
-    let second = sweep(2);
+    let [_, first, second] = sweeps();
     assert_eq!(first, second);
 }
 
@@ -113,8 +127,9 @@ fn consecutive_sweeps_agree() {
 #[test]
 fn distinct_seeds_serialize_distinctly() {
     let kind = SchedulerKind::Fair;
-    let a = run_bytes(&run_with_reports(&small_scenario(11), &kind));
-    let b = run_bytes(&run_with_reports(&small_scenario(12), &kind));
+    let spec = small_spec();
+    let a = run_bytes(&run_with_reports(&spec, &kind, 11));
+    let b = run_bytes(&run_with_reports(&spec, &kind, 12));
     assert_ne!(a, b);
 }
 
@@ -142,20 +157,21 @@ fn tracing_does_not_perturb_runs() {
         SchedulerKind::Tarazu,
         SchedulerKind::EAnt(EAntConfig::paper_default()),
     ];
+    let spec = small_spec();
     for kind in kinds {
-        let scenario = small_scenario(11);
-        let plain = run_result_json(&scenario.run(&kind));
+        let plain = run_result_json(&spec.execute(&kind, 11, true));
 
         let sink = SharedObserver::new(JsonlTraceSink::new(Vec::<u8>::new()));
         let stats = SharedObserver::new(StreamingRunStats::new(16));
         let sink_engine = sink.clone();
         let sink_scheduler = sink.clone();
         let stats_handle = stats.clone();
-        let traced = scenario.run_observed(&kind, move |engine, scheduler| {
-            engine.attach_observer(Box::new(sink_engine));
-            engine.attach_observer(Box::new(stats_handle));
-            scheduler.attach_observer(Box::new(sink_scheduler));
-        });
+        let traced =
+            spec.execute_scaled_observed(&kind, 11, true, 1.0, move |engine, scheduler| {
+                engine.attach_observer(Box::new(sink_engine));
+                engine.attach_observer(Box::new(stats_handle));
+                scheduler.attach_observer(Box::new(sink_scheduler));
+            });
         assert_eq!(
             plain,
             run_result_json(&traced),
@@ -171,8 +187,8 @@ fn tracing_does_not_perturb_runs() {
 
 /// A faulted variant of the small scenario: crashes, retries and
 /// blacklisting all active.
-fn faulted_scenario(seed: u64) -> Scenario {
-    let mut s = small_scenario(seed);
+fn faulted_spec() -> ScenarioSpec {
+    let mut s = small_spec();
     s.engine.fault = hadoop_sim::FaultConfig {
         crash_mtbf: SimDuration::from_mins(30),
         crash_downtime: SimDuration::from_mins(1),
@@ -198,7 +214,7 @@ fn faulted_sweep(workers: usize) -> Vec<String> {
         .flat_map(|kind| {
             seeds.iter().map(move |&seed| {
                 let kind = kind.clone();
-                move || run_with_reports(&faulted_scenario(seed), &kind)
+                move || run_with_reports(&faulted_spec(), &kind, seed)
             })
         })
         .collect();
@@ -237,12 +253,12 @@ fn decision_trace_bytes(seed: u64, kind: &SchedulerKind) -> Vec<u8> {
     use hadoop_sim::trace::SharedObserver;
     use metrics::trace::JsonlTraceSink;
 
-    let mut scenario = small_scenario(seed);
-    scenario.engine.trace_decisions = true;
+    let mut spec = small_spec();
+    spec.engine.trace_decisions = true;
     let sink = SharedObserver::new(JsonlTraceSink::new(Vec::<u8>::new()));
     let sink_engine = sink.clone();
     let sink_scheduler = sink.clone();
-    let _ = scenario.run_observed(kind, move |engine, scheduler| {
+    let _ = spec.execute_scaled_observed(kind, seed, true, 1.0, move |engine, scheduler| {
         engine.attach_observer(Box::new(sink_engine));
         scheduler.attach_observer(Box::new(sink_scheduler));
     });
@@ -298,11 +314,11 @@ fn faulted_trace_round_trips_through_codec() {
     use hadoop_sim::trace::SharedObserver;
     use metrics::trace::{parse_trace_line, trace_line, JsonlTraceSink};
 
-    let scenario = faulted_scenario(11);
+    let spec = faulted_spec();
     let kind = SchedulerKind::EAnt(EAntConfig::paper_default());
     let sink = SharedObserver::new(JsonlTraceSink::new(Vec::<u8>::new()));
     let handle = sink.clone();
-    let _ = scenario.run_observed(&kind, move |engine, _| {
+    let _ = spec.execute_scaled_observed(&kind, 11, true, 1.0, move |engine, _| {
         engine.attach_observer(Box::new(handle));
     });
     let bytes = sink

@@ -13,7 +13,8 @@ use std::collections::BTreeSet;
 
 use cluster::MachineId;
 use eant::EAntConfig;
-use experiments::common::{Scenario, SchedulerKind};
+use experiments::common::SchedulerKind;
+use experiments::scenario::{msd_spec, ScenarioSpec, WorkloadSpec};
 use hadoop_sim::trace::SharedObserver;
 use hadoop_sim::{
     Assignments, DvfsConfig, IntervalSnapshot, PowerDownConfig, RunResult, SpeculationPolicy,
@@ -59,7 +60,41 @@ fn goldens() -> Vec<Golden> {
 }
 
 fn run(kind: &SchedulerKind) -> RunResult {
-    Scenario::fast(2015).run(kind)
+    msd_spec().execute(kind, 2015, true)
+}
+
+/// Runs the small, feature-heavy E-Ant run behind the three trace goldens
+/// (8 jobs, seed 2015, LATE speculation, suspend-to-RAM power-down and
+/// conservative DVFS, then `tweak`) with a JSONL sink on both streams,
+/// returning the result and the trace bytes.
+fn golden_trace(tweak: impl FnOnce(&mut ScenarioSpec)) -> (RunResult, Vec<u8>) {
+    let mut spec = ScenarioSpec {
+        workload: WorkloadSpec::Msd(MsdConfig {
+            num_jobs: 8,
+            task_scale: 32,
+            submission_window: SimDuration::from_mins(4),
+        }),
+        fast_workload: None,
+        ..msd_spec().clone()
+    };
+    spec.engine.speculation = SpeculationPolicy::Late;
+    spec.engine.power_down = Some(PowerDownConfig::suspend_to_ram());
+    spec.engine.dvfs = Some(DvfsConfig::conservative());
+    tweak(&mut spec);
+
+    let sink = SharedObserver::new(JsonlTraceSink::new(Vec::<u8>::new()));
+    let (engine_sink, scheduler_sink) = (sink.clone(), sink.clone());
+    let kind = SchedulerKind::EAnt(EAntConfig::paper_default());
+    let result = spec.execute_scaled_observed(&kind, 2015, true, 1.0, move |engine, scheduler| {
+        engine.attach_observer(Box::new(engine_sink));
+        scheduler.attach_observer(Box::new(scheduler_sink));
+    });
+    let bytes = sink
+        .try_into_inner()
+        .unwrap_or_else(|_| panic!("trace sink still shared after run"))
+        .finish()
+        .expect("Vec<u8> writes cannot fail");
+    (result, bytes)
 }
 
 fn assert_close(what: &str, observed: f64, expected: f64, rel_tol: f64) {
@@ -131,33 +166,8 @@ const TRACE_GOLDEN_FNV1A: u64 = 0xe975ce6ddbe27729;
 
 #[test]
 fn golden_trace_digest() {
-    let mut scenario = Scenario::fast(2015);
-    scenario.msd = MsdConfig {
-        num_jobs: 8,
-        task_scale: 32,
-        submission_window: SimDuration::from_mins(4),
-    };
-    scenario.engine.speculation = SpeculationPolicy::Late;
-    scenario.engine.power_down = Some(PowerDownConfig::suspend_to_ram());
-    scenario.engine.dvfs = Some(DvfsConfig::conservative());
-
-    let sink = SharedObserver::new(JsonlTraceSink::new(Vec::<u8>::new()));
-    let engine_sink = sink.clone();
-    let scheduler_sink = sink.clone();
-    let result = scenario.run_observed(
-        &SchedulerKind::EAnt(EAntConfig::paper_default()),
-        move |engine, scheduler| {
-            engine.attach_observer(Box::new(engine_sink));
-            scheduler.attach_observer(Box::new(scheduler_sink));
-        },
-    );
+    let (result, bytes) = golden_trace(|_| {});
     assert!(result.drained, "golden trace run failed to drain");
-
-    let bytes = sink
-        .try_into_inner()
-        .unwrap_or_else(|_| panic!("trace sink still shared after run"))
-        .finish()
-        .expect("Vec<u8> writes cannot fail");
 
     // Every line must parse back, and the stream must exercise the full
     // event vocabulary this configuration can produce.
@@ -209,35 +219,10 @@ const FAULTED_TRACE_GOLDEN_FNV1A: u64 = 0x2ac2cde2b757182e;
 
 #[test]
 fn golden_faulted_trace_digest() {
-    let mut scenario = Scenario::fast(2015);
-    scenario.msd = MsdConfig {
-        num_jobs: 8,
-        task_scale: 32,
-        submission_window: SimDuration::from_mins(4),
-    };
-    scenario.engine.speculation = SpeculationPolicy::Late;
-    scenario.engine.power_down = Some(PowerDownConfig::suspend_to_ram());
-    scenario.engine.dvfs = Some(DvfsConfig::conservative());
-    scenario.engine.fault = hadoop_sim::FaultConfig::moderate();
-
-    let sink = SharedObserver::new(JsonlTraceSink::new(Vec::<u8>::new()));
-    let engine_sink = sink.clone();
-    let scheduler_sink = sink.clone();
-    let result = scenario.run_observed(
-        &SchedulerKind::EAnt(EAntConfig::paper_default()),
-        move |engine, scheduler| {
-            engine.attach_observer(Box::new(engine_sink));
-            scheduler.attach_observer(Box::new(scheduler_sink));
-        },
-    );
+    let (result, bytes) =
+        golden_trace(|spec| spec.engine.fault = hadoop_sim::FaultConfig::moderate());
     assert!(result.drained, "faulted golden trace run failed to drain");
     assert!(result.task_failures > 0, "faults never fired");
-
-    let bytes = sink
-        .try_into_inner()
-        .unwrap_or_else(|_| panic!("trace sink still shared after run"))
-        .finish()
-        .expect("Vec<u8> writes cannot fail");
 
     let mut kinds = BTreeSet::new();
     let mut events = 0u64;
@@ -287,34 +272,8 @@ const DECISION_TRACE_GOLDEN_FNV1A: u64 = 0x6162eb7b45f71ac0;
 
 #[test]
 fn golden_decision_trace_digest() {
-    let mut scenario = Scenario::fast(2015);
-    scenario.msd = MsdConfig {
-        num_jobs: 8,
-        task_scale: 32,
-        submission_window: SimDuration::from_mins(4),
-    };
-    scenario.engine.speculation = SpeculationPolicy::Late;
-    scenario.engine.power_down = Some(PowerDownConfig::suspend_to_ram());
-    scenario.engine.dvfs = Some(DvfsConfig::conservative());
-    scenario.engine.trace_decisions = true;
-
-    let sink = SharedObserver::new(JsonlTraceSink::new(Vec::<u8>::new()));
-    let engine_sink = sink.clone();
-    let scheduler_sink = sink.clone();
-    let result = scenario.run_observed(
-        &SchedulerKind::EAnt(EAntConfig::paper_default()),
-        move |engine, scheduler| {
-            engine.attach_observer(Box::new(engine_sink));
-            scheduler.attach_observer(Box::new(scheduler_sink));
-        },
-    );
+    let (result, bytes) = golden_trace(|spec| spec.engine.trace_decisions = true);
     assert!(result.drained, "decision-traced golden run failed to drain");
-
-    let bytes = sink
-        .try_into_inner()
-        .unwrap_or_else(|_| panic!("trace sink still shared after run"))
-        .finish()
-        .expect("Vec<u8> writes cannot fail");
 
     let mut kinds = BTreeSet::new();
     let mut events = 0u64;
@@ -360,7 +319,11 @@ fn golden_decision_trace_digest() {
 /// rather than showing up as silent EXPERIMENTS.md drift.
 #[test]
 fn paper_scale_eant_makespan_matches_golden() {
-    let r = Scenario::paper(1234).run(&SchedulerKind::EAnt(EAntConfig::paper_default()));
+    let r = msd_spec().execute(
+        &SchedulerKind::EAnt(EAntConfig::paper_default()),
+        1234,
+        false,
+    );
     assert!(r.drained, "paper-scale E-Ant failed to drain");
     assert_close(
         "paper-scale E-Ant makespan (s)",
@@ -478,33 +441,6 @@ fn scenario_library_matches_goldens() {
             observed, digest,
             "{name} result digest drifted (observed {observed:#018x})"
         );
-    }
-}
-
-/// The Fig. 8 grid reproduced *from the scenario file* is byte-identical
-/// to the hard-coded [`Scenario`] path: same canonical serialized result
-/// for every scheduler in the file, at two of its seeds. This is the
-/// contract that lets scenario files replace the figure modules without a
-/// re-baseline.
-#[test]
-fn fig8_scenario_file_reproduces_hardcoded_grid() {
-    use experiments::scenario::{library_dir, load_spec};
-
-    let spec = load_spec(&library_dir().join("fig8-msd.json")).unwrap_or_else(|e| panic!("{e}"));
-    for seed in [2015u64, 1234] {
-        assert!(
-            spec.seeds.contains(&seed),
-            "fig8-msd.json dropped seed {seed}"
-        );
-        for kind in &spec.schedulers {
-            let from_spec = run_result_json(&spec.execute(kind, seed, true));
-            let hard_coded = run_result_json(&Scenario::fast(seed).run(kind));
-            assert!(
-                from_spec == hard_coded,
-                "{} seed {seed}: scenario-file run diverges from the hard-coded path",
-                kind.label()
-            );
-        }
     }
 }
 
@@ -747,7 +683,7 @@ fn eant_variant_digests_are_pinned() {
         ExchangeStrategy::Both,
     ] {
         for negative_feedback in [true, false] {
-            let r = Scenario::fast(2015).run(&eant(exchange, negative_feedback));
+            let r = run(&eant(exchange, negative_feedback));
             assert!(
                 r.drained,
                 "{exchange:?}/{negative_feedback} failed to drain"
@@ -759,13 +695,17 @@ fn eant_variant_digests_are_pinned() {
     }
     assert_eq!(observed, table, "E-Ant variant digests drifted");
 
-    let mut faulted = Scenario::fast(2015);
+    let mut faulted = msd_spec().clone();
     faulted.engine.fault = FaultConfig {
         task_failure_prob: 0.05,
         blacklist_threshold: 3,
         ..FaultConfig::moderate()
     };
-    let r = faulted.run(&SchedulerKind::EAnt(EAntConfig::paper_default()));
+    let r = faulted.execute(
+        &SchedulerKind::EAnt(EAntConfig::paper_default()),
+        2015,
+        true,
+    );
     assert!(r.drained, "faulted E-Ant run failed to drain");
     assert!(r.machine_failures > 0, "no machine crashed");
     assert!(r.machines_blacklisted > 0, "no machine was blacklisted");

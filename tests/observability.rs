@@ -4,8 +4,8 @@
 //! postmortem flight recorder.
 
 use eant::EAntConfig;
-use experiments::common::{parallel_runs_with_workers, Scenario, SchedulerKind};
-use experiments::scenario::{library_dir, load_spec, ScenarioSpec};
+use experiments::common::{parallel_runs_with_workers, SchedulerKind};
+use experiments::scenario::{library_dir, load_spec, msd_spec, ScenarioSpec, WorkloadSpec};
 use experiments::slo::{run_monitored, MonitoredCell, PostmortemBundle};
 use experiments::timeline::{registry_snapshot_path, telemetry_series_path};
 use hadoop_sim::trace::SharedObserver;
@@ -17,15 +17,18 @@ use simcore::SimDuration;
 use std::path::PathBuf;
 use workload::msd::MsdConfig;
 
-/// A small fixed scenario shared by every test here.
-fn small_scenario(seed: u64) -> Scenario {
-    let mut s = Scenario::fast(seed);
-    s.msd = MsdConfig {
-        num_jobs: 6,
-        task_scale: 32,
-        submission_window: SimDuration::from_mins(4),
-    };
-    s
+/// A small MSD scenario shared by every test here: 6 jobs submitted over
+/// `window_mins`.
+fn small_spec(window_mins: u64) -> ScenarioSpec {
+    ScenarioSpec {
+        workload: WorkloadSpec::Msd(MsdConfig {
+            num_jobs: 6,
+            task_scale: 32,
+            submission_window: SimDuration::from_mins(window_mins),
+        }),
+        fast_workload: None,
+        ..msd_spec().clone()
+    }
 }
 
 fn tmp(name: &str) -> PathBuf {
@@ -34,13 +37,13 @@ fn tmp(name: &str) -> PathBuf {
     dir.join(format!("{name}-{}.jsonl", std::process::id()))
 }
 
-/// Runs the scenario with a JSONL sink on the engine stream and writes the
-/// trace to `path`.
-fn write_scenario_trace(scenario: &Scenario, path: &PathBuf) {
+/// Runs E-Ant on the (fast) scenario at `seed` with a JSONL sink on the
+/// engine stream and writes the trace to `path`.
+fn write_scenario_trace(spec: &ScenarioSpec, seed: u64, path: &PathBuf) {
     let kind = SchedulerKind::EAnt(EAntConfig::paper_default());
     let sink = SharedObserver::new(JsonlTraceSink::new(Vec::<u8>::new()));
     let handle = sink.clone();
-    let _ = scenario.run_observed(&kind, move |engine, _| {
+    let _ = spec.execute_scaled_observed(&kind, seed, true, 1.0, move |engine, _| {
         engine.attach_observer(Box::new(handle));
     });
     let bytes = sink
@@ -60,8 +63,8 @@ fn write_scenario_trace(scenario: &Scenario, path: &PathBuf) {
 fn trace_diff_pinpoints_first_machine_failure() {
     let clean_path = tmp("clean");
     let faulted_path = tmp("faulted");
-    let clean = small_scenario(11);
-    let mut faulted = small_scenario(11);
+    let clean = small_spec(4);
+    let mut faulted = small_spec(4);
     faulted.engine.fault = FaultConfig {
         crash_mtbf: SimDuration::from_mins(30),
         crash_downtime: SimDuration::from_mins(1),
@@ -69,8 +72,8 @@ fn trace_diff_pinpoints_first_machine_failure() {
         blacklist_threshold: 10,
         ..FaultConfig::none()
     };
-    write_scenario_trace(&clean, &clean_path);
-    write_scenario_trace(&faulted, &faulted_path);
+    write_scenario_trace(&clean, 11, &clean_path);
+    write_scenario_trace(&faulted, 11, &faulted_path);
 
     let scoped =
         experiments::tracediff::run(&clean_path, &faulted_path, Some("machine_failed")).unwrap();
@@ -147,8 +150,8 @@ fn replay_prints_decision_breakdown_and_registry_snapshot() {
 fn registry_snapshot_is_replay_invariant() {
     use metrics::trace::read_trace_lines;
 
-    let mut scenario = small_scenario(7);
-    scenario.engine.trace_decisions = true;
+    let mut spec = small_spec(4);
+    spec.engine.trace_decisions = true;
     let kind = SchedulerKind::EAnt(EAntConfig::paper_default());
 
     // The registry must see the same stream the sink serializes: both get
@@ -157,7 +160,7 @@ fn registry_snapshot_is_replay_invariant() {
     let live = SharedObserver::new(RegistryObserver::new());
     let sink_handle = sink.clone();
     let live_handle = live.clone();
-    let _ = scenario.run_observed(&kind, move |engine, scheduler| {
+    let _ = spec.execute_scaled_observed(&kind, 7, true, 1.0, move |engine, scheduler| {
         engine.attach_observer(Box::new(sink_handle.clone()));
         engine.attach_observer(Box::new(live_handle.clone()));
         scheduler.attach_observer(Box::new(sink_handle));
@@ -359,9 +362,9 @@ bundle explain 4982a702d61bcf8d
 fast timeline cf5512e57b7b04bf
 ";
 
-    let mut decisions = small_scenario(11);
+    let mut decisions = small_spec(4);
     decisions.engine.trace_decisions = true;
-    let mut faulted = small_scenario(11);
+    let mut faulted = small_spec(4);
     faulted.engine.fault = FaultConfig {
         crash_mtbf: SimDuration::from_mins(30),
         crash_downtime: SimDuration::from_mins(1),
@@ -369,25 +372,24 @@ fast timeline cf5512e57b7b04bf
         blacklist_threshold: 3,
         ..FaultConfig::none()
     };
-    let mut powered = small_scenario(11);
-    powered.engine.power_down = Some(PowerDownConfig::suspend_to_ram());
     // Sparse arrivals leave the idle gaps the power-down policy needs.
-    powered.msd.submission_window = SimDuration::from_mins(60);
+    let mut powered = small_spec(60);
+    powered.engine.power_down = Some(PowerDownConfig::suspend_to_ram());
     // Each trace must carry the events its case is there to exercise.
     let traces = [
-        ("clean", Scenario::fast(2015), "\"run_finished\""),
-        ("decisions", decisions, "\"assignment_decision\""),
-        ("faulted", faulted, "\"machine_blacklisted\""),
-        ("power-down", powered, "\"standby\""),
+        ("clean", msd_spec().clone(), 2015, "\"run_finished\""),
+        ("decisions", decisions, 11, "\"assignment_decision\""),
+        ("faulted", faulted, 11, "\"machine_blacklisted\""),
+        ("power-down", powered, 11, "\"standby\""),
     ];
 
     let mut digests = Vec::new();
     let mut pin = |label: &str, out: String| {
         digests.push(format!("{label} {:016x}", fnv1a_64(out.as_bytes())));
     };
-    for (name, scenario, needle) in traces {
+    for (name, spec, seed, needle) in traces {
         let path = tmp(&format!("pinned-{name}"));
-        write_scenario_trace(&scenario, &path);
+        write_scenario_trace(&spec, seed, &path);
         let text = std::fs::read_to_string(&path).unwrap();
         assert!(text.contains(needle), "{name} trace lacks {needle}");
         let shown = path.display().to_string();

@@ -1195,7 +1195,8 @@ fn scoreboard_matches_oracle_rebuild() {
 #[test]
 fn streaming_stats_match_posthoc() {
     use eant::EAntConfig;
-    use experiments::common::{Scenario, SchedulerKind};
+    use experiments::common::SchedulerKind;
+    use experiments::scenario::{msd_spec, ScenarioSpec, WorkloadSpec};
     use hadoop_sim::trace::SharedObserver;
     use hadoop_sim::DvfsConfig;
     use metrics::observers::StreamingRunStats;
@@ -1204,22 +1205,25 @@ fn streaming_stats_match_posthoc() {
 
     check("streaming_stats_match_posthoc", 6, |rng| {
         let seed = rng.next_u64();
-        let mut scenario = Scenario::fast(seed);
-        scenario.msd = MsdConfig {
-            num_jobs: rng.uniform_u64(3, 8) as usize,
-            task_scale: 32,
-            submission_window: SimDuration::from_mins(rng.uniform_u64(2, 6)),
+        let mut spec = ScenarioSpec {
+            workload: WorkloadSpec::Msd(MsdConfig {
+                num_jobs: rng.uniform_u64(3, 8) as usize,
+                task_scale: 32,
+                submission_window: SimDuration::from_mins(rng.uniform_u64(2, 6)),
+            }),
+            fast_workload: None,
+            ..msd_spec().clone()
         };
-        scenario.engine.speculation = [
+        spec.engine.speculation = [
             SpeculationPolicy::Off,
             SpeculationPolicy::Hadoop,
             SpeculationPolicy::Late,
         ][rng.uniform_u64(0, 2) as usize];
         if rng.chance(0.3) {
-            scenario.engine.power_down = Some(PowerDownConfig::suspend_to_ram());
+            spec.engine.power_down = Some(PowerDownConfig::suspend_to_ram());
         }
         if rng.chance(0.3) {
-            scenario.engine.dvfs = Some(DvfsConfig::conservative());
+            spec.engine.dvfs = Some(DvfsConfig::conservative());
         }
         let num_machines = Fleet::paper_evaluation().len();
         for kind in [
@@ -1230,7 +1234,7 @@ fn streaming_stats_match_posthoc() {
         ] {
             let stats = SharedObserver::new(StreamingRunStats::new(num_machines));
             let handle = stats.clone();
-            let result = scenario.run_observed(&kind, move |engine, _| {
+            let result = spec.execute_scaled_observed(&kind, seed, true, 1.0, move |engine, _| {
                 engine.attach_observer(Box::new(handle));
             });
             stats
@@ -1925,28 +1929,35 @@ fn run_db_parse_survives_byte_mutation() {
 #[test]
 fn trace_line_parse_survives_byte_mutation() {
     use eant::EAntConfig;
-    use experiments::common::{Scenario, SchedulerKind};
+    use experiments::common::SchedulerKind;
+    use experiments::scenario::{msd_spec, ScenarioSpec, WorkloadSpec};
     use hadoop_sim::trace::SharedObserver;
     use hadoop_sim::{DvfsConfig, FaultConfig};
     use metrics::trace::{parse_trace_line, JsonlTraceSink};
     use simcore::SimDuration;
     use workload::msd::MsdConfig;
 
-    let mut scenario = Scenario::fast(7);
-    scenario.msd = MsdConfig {
-        num_jobs: 6,
-        task_scale: 32,
-        submission_window: SimDuration::from_mins(3),
+    let mut spec = ScenarioSpec {
+        workload: WorkloadSpec::Msd(MsdConfig {
+            num_jobs: 6,
+            task_scale: 32,
+            submission_window: SimDuration::from_mins(3),
+        }),
+        fast_workload: None,
+        ..msd_spec().clone()
     };
-    scenario.engine.speculation = SpeculationPolicy::Late;
-    scenario.engine.power_down = Some(PowerDownConfig::suspend_to_ram());
-    scenario.engine.dvfs = Some(DvfsConfig::conservative());
-    scenario.engine.fault = FaultConfig::moderate();
-    scenario.engine.trace_decisions = true;
+    spec.engine.speculation = SpeculationPolicy::Late;
+    spec.engine.power_down = Some(PowerDownConfig::suspend_to_ram());
+    spec.engine.dvfs = Some(DvfsConfig::conservative());
+    spec.engine.fault = FaultConfig::moderate();
+    spec.engine.trace_decisions = true;
     let sink = SharedObserver::new(JsonlTraceSink::new(Vec::<u8>::new()));
     let (engine_sink, scheduler_sink) = (sink.clone(), sink.clone());
-    scenario.run_observed(
+    spec.execute_scaled_observed(
         &SchedulerKind::EAnt(EAntConfig::paper_default()),
+        7,
+        true,
+        1.0,
         move |engine, scheduler| {
             engine.attach_observer(Box::new(engine_sink));
             scheduler.attach_observer(Box::new(scheduler_sink));

@@ -107,7 +107,7 @@ fn serve_scenario(label: &str, arrival: OpenArrival) -> ScenarioSpec {
 fn run_with_reports(spec: &ScenarioSpec, kind: &SchedulerKind) -> (RunResult, Vec<TaskReport>) {
     let recorder: SharedObserver<VecRecorder<TaskReport>> = SharedObserver::new(VecRecorder::new());
     let handle = recorder.clone();
-    let result = spec.execute_observed(kind, spec.seeds[0], false, move |engine, _| {
+    let result = spec.execute_scaled_observed(kind, spec.seeds[0], false, 1.0, move |engine, _| {
         engine.attach_report_observer(Box::new(handle));
     });
     let reports = recorder
